@@ -70,6 +70,14 @@ def _parse_float_list(text: str):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+def _require_finite(params: dict, *names):
+    """Reject NaN/inf in the named float (or float-list) parameters."""
+    for name in names:
+        value = params[name]
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _parse_times(text: str):
     """'start:stop:step' inclusive range, or a comma/space separated list."""
     if ":" in text:
@@ -194,6 +202,7 @@ def run_causality(args) -> int:
         "workers": (int, 1),
     }
     p = _merged_params(args, "causality", schema)
+    _require_finite(p, "dx", "mass", "dts", "separations", "cone_margin")
     lattice = LatticeSpec(p["M"], p["dx"], p["mass"], Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
@@ -201,8 +210,7 @@ def run_causality(args) -> int:
         pairs = [(dt, dx) for dt in p["dts"] for dx in p["separations"]]
     else:
         pairs = default_spacelike_grid(lattice, cone_margin=p["cone_margin"])
-    with_vals = commutator_sweep(lattice, pairs, True, max_workers=p["workers"])
-    without_vals = commutator_sweep(lattice, pairs, False, max_workers=p["workers"])
+    with_vals, without_vals = commutator_sweep(lattice, pairs)
     rows = [
         (dt, dx, w.real, w.imag, abs(w), wo.real, wo.imag, abs(wo))
         for (dt, dx), w, wo in zip(pairs, with_vals, without_vals)
@@ -431,8 +439,9 @@ def _check_eq14() -> tuple:
 def _check_comment6() -> tuple:
     lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
     grid = default_spacelike_grid(lattice)
-    with_max = max(abs(v) for v in commutator_sweep(lattice, grid, True))
-    without_max = max(abs(v) for v in commutator_sweep(lattice, grid, False))
+    with_vals, without_vals = commutator_sweep(lattice, grid)
+    with_max = max(abs(v) for v in with_vals)
+    without_max = max(abs(v) for v in without_vals)
     ok = with_max <= 1e-6 and without_max >= 0.05
     return ok, (
         f"spacelike commutator {with_max:.2e} with antiparticles (tol 1e-6) "
@@ -516,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dts", type=_parse_float_list, help="time separations (comma separated)")
     p.add_argument("--separations", type=_parse_float_list, help="spatial separations (comma separated)")
     p.add_argument("--cone-margin", dest="cone_margin", type=float)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="no effect; kept so causality sidecars stay unchanged")
     p.set_defaults(func=run_causality)
 
     p = sub.add_parser("wavepacket", help="chirped-Gaussian trajectory")

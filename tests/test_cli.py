@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from fockfield import artifacts
 from fockfield.cli import main
+from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
 
 
 def run(args):
@@ -119,6 +121,36 @@ def test_causality_explicit_lists(tmp_path):
     assert len(lines) == 5  # header + 2x2 grid
 
 
+def test_causality_csv_matches_per_pair_pauli_jordan(tmp_path):
+    assert run(["causality", "--out-dir", str(tmp_path / "cli"), "--M", "64"]) == 0
+    lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
+    rows = []
+    for dt, dx in default_spacelike_grid(lattice):
+        w = pauli_jordan(lattice, dt, dx, True)
+        wo = pauli_jordan(lattice, dt, dx, False)
+        rows.append((dt, dx, w.real, w.imag, abs(w), wo.real, wo.imag, abs(wo)))
+    header = ("dt", "dx", "re_with", "im_with", "abs_with", "re_without", "im_without", "abs_without")
+    artifacts.write_csv(str(tmp_path / "oracle.csv"), header, rows)
+    assert read(tmp_path / "cli" / "causality.csv") == read(tmp_path / "oracle.csv")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, name", [
+    (["--dx", "nan"], "dx"),
+    (["--mass", "nan"], "mass"),
+    (["--mass", "inf"], "mass"),
+    (["--cone-margin", "nan"], "cone_margin"),
+    (["--dts", "0", "--separations", "inf"], "separations"),
+    (["--dts", "0,nan", "--separations", "1"], "dts"),
+])
+def test_causality_rejects_non_finite(tmp_path, capsys, flags, name):
+    assert run(["causality", "--out-dir", str(tmp_path), "--M", "64", *flags]) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "numpy" not in err and "RuntimeWarning" not in err and "arange" not in err
+    assert not (tmp_path / "causality.csv").exists()
+
+
 def test_measure_counts_and_determinism(tmp_path):
     for sub in ("a", "b"):
         assert run([
@@ -194,6 +226,20 @@ def test_verify_only_filter(capsys):
     assert run(["verify", "--only", "eq8"]) == 0
     out = capsys.readouterr().out
     assert "eq8" in out and "eq12" not in out
+
+
+def test_verify_comment6_matches_per_pair_pauli_jordan(capsys):
+    lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
+    grid = default_spacelike_grid(lattice)
+    with_max = max(abs(pauli_jordan(lattice, dt, dx, True)) for dt, dx in grid)
+    without_max = max(abs(pauli_jordan(lattice, dt, dx, False)) for dt, dx in grid)
+    assert run(["verify", "--only", "comment6"]) == 0
+    assert capsys.readouterr().out == (
+        "comment6  pass  spacelike commutator cancellation with antiparticles: "
+        f"spacelike commutator {with_max:.2e} with antiparticles (tol 1e-6) "
+        f"vs {without_max:.2e} without (floor 0.05)\n"
+        "all checks passed\n"
+    )
 
 
 def test_verify_unknown_tag_exits_2(capsys):

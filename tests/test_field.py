@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fockfield import field
 from fockfield.field import (
     Dispersion,
     GeneralStateSpec,
@@ -353,14 +356,49 @@ def test_spacelike_sweep_bounds():
     grid = default_spacelike_grid(REL512)
     assert all(dx > dt for dt, dx in grid)
     assert all(max(dt, dx) <= REL512.length / 4 + 1e-9 for dt, dx in grid)
-    with_vals = commutator_sweep(REL512, grid, include_antiparticles=True)
-    without_vals = commutator_sweep(REL512, grid, include_antiparticles=False)
+    with_vals, without_vals = commutator_sweep(REL512, grid)
     assert max(abs(v) for v in with_vals) <= 1e-6
     assert max(abs(v) for v in without_vals) >= 0.05
 
 
-def test_commutator_sweep_concurrent_matches_serial():
-    grid = default_spacelike_grid(REL512)[:40]
-    serial = commutator_sweep(REL512, grid, max_workers=1)
-    threaded = commutator_sweep(REL512, grid, max_workers=4)
-    assert serial == threaded
+@st.composite
+def sweep_cases(draw):
+    """(lattice, pairs) with even M, spacing > 0, mass possibly 0, and a
+    pair count of 0, 1 or enough to span more than one chunk."""
+    count = draw(st.sampled_from(["none", "one", "chunks"]))
+    M = 2 * draw(st.integers(128 if count == "chunks" else 1, 300))
+    spacing = draw(st.floats(0.01, 2.0))
+    mass = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    lattice = LatticeSpec(M, spacing, mass, Dispersion.RELATIVISTIC)
+    if count == "none":
+        return lattice, []
+    if count == "one":
+        return lattice, [(draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))]
+    # at least one row more than a chunk holds, whether or not k = 0 is dropped
+    n = field._SWEEP_CHUNK_ELEMENTS // (M - 1) + draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return lattice, [(float(dt), float(dx)) for dt, dx in rng.uniform(-50.0, 50.0, size=(n, 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases())
+def test_commutator_sweep_equals_pauli_jordan_exactly(case):
+    # bit patterns, so signed zeros and NaN (a mass whose square underflows
+    # leaves ω = 0 at k = 0 in both) must match as well as ordinary values
+    def bits(values):
+        return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+    lattice, pairs = case
+    with_vals, without_vals = commutator_sweep(lattice, pairs)
+    assert bits(with_vals) == bits([pauli_jordan(lattice, dt, dx, True) for dt, dx in pairs])
+    assert bits(without_vals) == bits([pauli_jordan(lattice, dt, dx, False) for dt, dx in pairs])
+
+
+def test_commutator_sweep_requires_relativistic_dispersion():
+    with pytest.raises(ValueError, match="relativistic"):
+        commutator_sweep(LatticeSpec(8, 1.0, 1.0), [(0.0, 1.0)])
+
+
+def test_commutator_sweep_rejects_pairs_that_are_not_pairs():
+    with pytest.raises(ValueError):
+        commutator_sweep(REL512, [(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)])
