@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 
@@ -70,12 +71,7 @@ def _parse_float_list(text: str):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
-def _require_finite(params: dict, *names):
-    """Reject NaN/inf in the named float (or float-list) parameters."""
-    for name in names:
-        value = params[name]
-        if value is not None and not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+MAX_TIME_SAMPLES = 10**6
 
 
 def _parse_times(text: str):
@@ -85,15 +81,67 @@ def _parse_times(text: str):
         if len(parts) != 3:
             raise ValueError(f"times must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not np.all(np.isfinite([start, stop, step])):
+            raise ValueError(f"times must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("times step must be positive")
-        n = int(round((stop - start) / step))
+        count = (stop - start) / step  # inf if the span overflows
+        if count >= MAX_TIME_SAMPLES:
+            raise ValueError(f"times {text!r} has more than {MAX_TIME_SAMPLES} samples")
+        n = int(round(count))
         return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-12]
     return _parse_float_list(text)
 
 
-def _merged_params(args: argparse.Namespace, scenario: str, schema: dict) -> dict:
-    """Resolve parameters: explicit flag > config file entry > default."""
+# Every scenario parameter: {scenario: {name: (type, default, help)}}.  Each
+# entry becomes the flag --<name with - for _> and the config key <name>.
+# Defaults are shared by every run, so the sequences are tuples.
+PARAMETERS = {
+    "fock-check": {
+        "modes": (int, 4, None),
+        "nmax": (int, 6, None),
+        "pairs": (int, 200, None),
+        "seed": (int, 0, None),
+    },
+    "causality": {
+        "M": (int, 512, None),
+        "dx": (float, 0.25, "lattice spacing"),
+        "mass": (float, 1.0, None),
+        "dts": (_parse_float_list, None, "time separations (comma separated)"),
+        "separations": (_parse_float_list, None, "spatial separations (comma separated)"),
+        "cone_margin": (float, 3.0, None),
+        "workers": (int, 1, "no effect; kept so causality sidecars stay unchanged"),
+    },
+    "wavepacket": {
+        "M": (int, 256, None),
+        "dx": (float, 1.0, "lattice spacing"),
+        "mass": (float, 1.0, None),
+        "sigma0": (float, 8.0, None),
+        "chirp": (float, 0.0, None),
+        "p0": (float, 0.0, None),
+        "x0": (float, 0.0, None),
+        "times": (_parse_times, tuple(k * 0.5 for k in range(101)), "start:stop:step or explicit list"),
+    },
+    "entangle": {
+        "overlap_a": (float, 0.0, "overlap of the two A-side states"),
+        "overlap_b": (float, 0.0, "overlap of the two B-side states"),
+    },
+    "measure": {
+        "weights": (_parse_float_list, (0.25, 0.75), "outcome weights |f|^2 (comma separated)"),
+        "apparatus_energy": (float, 1e6, None),
+        "n_samples": (int, 100000, None),
+        "seed": (int, 0, None),
+    },
+}
+
+
+def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
+    """Resolve PARAMETERS[scenario]: explicit flag > config file entry > default.
+
+    Every resolved value then passes one rule, or a ValueError names it:
+    an int is >= 0, a float is finite, a list is non-empty with finite
+    entries (a None default means "not given" and is left alone).
+    """
     file_values = {}
     if args.config:
         if not os.path.exists(args.config):
@@ -103,15 +151,24 @@ def _merged_params(args: argparse.Namespace, scenario: str, schema: dict) -> dic
         if ini.has_section(scenario):
             file_values = dict(ini.items(scenario))
     params = {}
-    for name, (caster, default) in schema.items():
-        flag_value = getattr(args, name, None)
+    for name, (caster, default, _) in PARAMETERS[scenario].items():
+        value = getattr(args, name)
         key = name.lower()  # configparser lowercases option names
-        if flag_value is not None:
-            params[name] = flag_value
-        elif key in file_values:
-            params[name] = caster(file_values[key])
-        else:
-            params[name] = default
+        if value is None and key in file_values:
+            try:
+                value = caster(file_values[key])
+            except ValueError as err:
+                raise ValueError(f"{name}: {err}") from None
+        elif value is None:
+            value = default
+        if isinstance(value, int):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        elif isinstance(value, (list, tuple)) and not value:
+            raise ValueError(f"{name} must not be empty")
+        elif value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        params[name] = value
     return params
 
 
@@ -125,13 +182,7 @@ def _out_path(args, filename: str) -> str:
 
 
 def run_fock_check(args) -> int:
-    schema = {
-        "modes": (int, 4),
-        "nmax": (int, 6),
-        "pairs": (int, 200),
-        "seed": (int, 0),
-    }
-    p = _merged_params(args, "fock-check", schema)
+    p = _merged_params(args, "fock-check")
     rng = np.random.default_rng(p["seed"])
     rows = []
     worst = 0.0
@@ -151,15 +202,22 @@ def run_fock_check(args) -> int:
 
 
 def _ladder_relation_residuals(space: ModeSpace, rng, n_pairs: int) -> dict:
-    """Max deviation of the three exchange relations on random basis pairs."""
+    """Max deviation of the three exchange relations on random basis pairs.
+
+    Each pair's state is drawn uniformly from the occupations 0..cap per
+    mode by decoding one drawn index, so nothing is enumerated.
+    """
     sign = -1.0 if space.statistics is Statistics.BOSE else 1.0
     cap = space.occupation_cap - (1 if space.statistics is Statistics.BOSE else 0)
-    states = [occ for occ in space.basis_states() if max(occ) <= cap]
+    radix, modes = cap + 1, space.num_modes
+    # modes >= 64 never fits (the fermion pass needs 2**modes) and would make the power huge
+    if modes >= 64 or radix ** modes > np.iinfo(np.int64).max:
+        raise ValueError(f"modes = {modes} with occupations 0..{cap} has too many basis states to index")
     worst = {"exchange": 0.0, "create-create": 0.0, "annihilate-annihilate": 0.0}
     for _ in range(n_pairs):
-        occ = states[rng.integers(len(states))]
-        a = int(rng.integers(space.num_modes))
-        b = int(rng.integers(space.num_modes))
+        occ = _occupations_at(int(rng.integers(radix ** modes)), radix, modes)
+        a = int(rng.integers(modes))
+        b = int(rng.integers(modes))
         s = basis_state(space, occ)
         w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
         expect = s if a == b else FockVector(space, {})
@@ -171,6 +229,12 @@ def _ladder_relation_residuals(space: ModeSpace, rng, n_pairs: int) -> dict:
         worst["create-create"] = max(worst["create-create"], w2.norm)
         worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], w3.norm)
     return worst
+
+
+def _occupations_at(index: int, radix: int, modes: int) -> tuple:
+    """Entry ``index`` of itertools.product(range(radix), repeat=modes): its
+    base-``radix`` digits, most significant first."""
+    return tuple(index // radix ** (modes - 1 - j) % radix for j in range(modes))
 
 
 def run_wick(args) -> int:
@@ -192,17 +256,7 @@ def run_wick(args) -> int:
 
 
 def run_causality(args) -> int:
-    schema = {
-        "M": (int, 512),
-        "dx": (float, 0.25),
-        "mass": (float, 1.0),
-        "dts": (_parse_float_list, None),
-        "separations": (_parse_float_list, None),
-        "cone_margin": (float, 3.0),
-        "workers": (int, 1),
-    }
-    p = _merged_params(args, "causality", schema)
-    _require_finite(p, "dx", "mass", "dts", "separations", "cone_margin")
+    p = _merged_params(args, "causality")
     lattice = LatticeSpec(p["M"], p["dx"], p["mass"], Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
@@ -223,30 +277,20 @@ def run_causality(args) -> int:
     )
     artifacts.write_metadata(
         path, "causality", p, __version__,
-        extra={"k0_excluded": lattice.mass == 0.0},
+        extra={"k0_excluded": bool(np.any(lattice.frequencies == 0))},
     )
     print(f"wrote {path} ({len(rows)} points)")
     return 0
 
 
 def run_wavepacket(args) -> int:
-    schema = {
-        "M": (int, 256),
-        "dx": (float, 1.0),
-        "mass": (float, 1.0),
-        "sigma0": (float, 8.0),
-        "chirp": (float, 0.0),
-        "p0": (float, 0.0),
-        "x0": (float, 0.0),
-        "times": (_parse_times, [k * 0.5 for k in range(101)]),
-    }
-    p = _merged_params(args, "wavepacket", schema)
+    p = _merged_params(args, "wavepacket")
     lattice = LatticeSpec(p["M"], p["dx"], p["mass"])
     packet = gaussian_packet(lattice, p["x0"], p["p0"], p["sigma0"], p["chirp"])
     records = trajectory(packet, p["times"], lattice)
     path = _out_path(args, "wavepacket.csv")
     artifacts.write_csv(path, TrajectoryRecord.CSV_HEADER, [r.row() for r in records])
-    artifacts.write_metadata(path, "wavepacket", dict(p, times=list(p["times"])), __version__)
+    artifacts.write_metadata(path, "wavepacket", p, __version__)
     print(f"wrote {path} ({len(records)} samples)")
     if args.density_out is not None:
         final = evolve(packet, p["times"][-1], lattice)
@@ -259,17 +303,13 @@ def run_wavepacket(args) -> int:
                 for x, v in zip(lattice.positions, final.values)
             ],
         )
-        artifacts.write_metadata(dpath, "wavepacket", dict(p, times=list(p["times"])), __version__)
+        artifacts.write_metadata(dpath, "wavepacket", p, __version__)
         print(f"wrote {dpath}")
     return 0
 
 
 def run_entangle(args) -> int:
-    schema = {
-        "overlap_a": (float, 0.0),
-        "overlap_b": (float, 0.0),
-    }
-    p = _merged_params(args, "entangle", schema)
+    p = _merged_params(args, "entangle")
     for key in ("overlap_a", "overlap_b"):
         if not -1.0 <= p[key] <= 1.0:
             raise ValueError(f"{key} must lie in [-1, 1]")
@@ -291,13 +331,7 @@ def run_entangle(args) -> int:
 
 
 def run_measure(args) -> int:
-    schema = {
-        "weights": (_parse_float_list, [0.25, 0.75]),
-        "apparatus_energy": (float, 1e6),
-        "n_samples": (int, 100000),
-        "seed": (int, 0),
-    }
-    p = _merged_params(args, "measure", schema)
+    p = _merged_params(args, "measure")
     weights = np.asarray(p["weights"], dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("weights must be nonnegative and sum to 1")
@@ -315,7 +349,7 @@ def run_measure(args) -> int:
     path = _out_path(args, "measure.csv")
     artifacts.write_csv(path, ("lambda", "count", "frequency"), rows)
     artifacts.write_metadata(
-        path, "measure", dict(p, weights=list(weights)), __version__,
+        path, "measure", p, __version__,
         seed=p["seed"], generator=GENERATOR_NAME,
         extra={"decoherence_time": decoherence_time(p["apparatus_energy"])},
     )
@@ -374,17 +408,19 @@ def _apply_symbols(s, assignment, space):
     return v
 
 
+@functools.cache
 def _verify_trajectory():
+    """Coarse records and the fine run's Ehrenfest report for one chirped
+    packet; eq12 and eq13 share this one computation."""
     lattice = LatticeSpec(64, 1.0, 1.0)
     packet = gaussian_packet(lattice, 0.0, 0.0, 3.0, chirp=1.0)
     coarse = trajectory(packet, [k * 0.25 for k in range(49)], lattice)
     fine = trajectory(packet, [k * 1e-3 for k in range(51)], lattice)
-    return coarse, fine
+    return tuple(coarse), ehrenfest_residuals(fine, mass=1.0)
 
 
 def _check_eq12() -> tuple:
-    coarse, fine = _verify_trajectory()
-    report = ehrenfest_residuals(fine, mass=1.0)
+    coarse, report = _verify_trajectory()
     x20, c0, h0 = coarse[0].mean_x2, coarse[0].mean_c, coarse[0].mean_h
     worst = max(
         abs(r.mean_x2 - (x20 + 2.0 * (c0 * r.t + h0 * r.t**2))) / abs(r.mean_x2)
@@ -398,8 +434,7 @@ def _check_eq12() -> tuple:
 
 
 def _check_eq13() -> tuple:
-    coarse, fine = _verify_trajectory()
-    report = ehrenfest_residuals(fine, mass=1.0)
+    coarse, report = _verify_trajectory()
     h0 = coarse[0].mean_h
     linear = max(
         abs((r.mean_c - coarse[0].mean_c) - 2 * h0 * r.t) / max(abs(2 * h0 * r.t), 1e-30)
@@ -497,70 +532,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fockfield {__version__}")
     sub = parser.add_subparsers(dest="scenario", metavar="scenario")
-
-    def common(p):
+    commands = {}
+    for scenario, func, help_text in (
+        ("fock-check", run_fock_check, "ladder-algebra residual sweep"),
+        ("wick", run_wick, "normal-order a ladder-operator expression"),
+        ("causality", run_causality, "spacelike commutator sweep"),
+        ("wavepacket", run_wavepacket, "chirped-Gaussian trajectory"),
+        ("entangle", run_entangle, "two-term entangled pair report"),
+        ("measure", run_measure, "premeasure, decohere, and sample outcomes"),
+        ("verify", run_verify, "reduced-scale invariant suite"),
+    ):
+        p = commands[scenario] = sub.add_parser(scenario, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--out-dir", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
         p.add_argument("--config", default=None, help="INI config file with one section per scenario")
+        for name, (caster, _, text) in PARAMETERS.get(scenario, {}).items():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=caster, help=text)
 
-    p = sub.add_parser("fock-check", help="ladder-algebra residual sweep")
-    common(p)
-    p.add_argument("--modes", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=run_fock_check)
-
-    p = sub.add_parser("wick", help="normal-order a ladder-operator expression")
-    common(p)
-    p.add_argument("--expr", help="expression, e.g. 'bose: a(x1) a+(x2)'")
-    p.add_argument("--file", help="read the expression from a file")
-    p.add_argument("--out", help="also write the normal form to this artifact file")
-    p.set_defaults(func=run_wick)
-
-    p = sub.add_parser("causality", help="spacelike commutator sweep")
-    common(p)
-    p.add_argument("--M", type=int)
-    p.add_argument("--dx", type=float, help="lattice spacing")
-    p.add_argument("--mass", type=float)
-    p.add_argument("--dts", type=_parse_float_list, help="time separations (comma separated)")
-    p.add_argument("--separations", type=_parse_float_list, help="spatial separations (comma separated)")
-    p.add_argument("--cone-margin", dest="cone_margin", type=float)
-    p.add_argument("--workers", type=int, help="no effect; kept so causality sidecars stay unchanged")
-    p.set_defaults(func=run_causality)
-
-    p = sub.add_parser("wavepacket", help="chirped-Gaussian trajectory")
-    common(p)
-    p.add_argument("--M", type=int)
-    p.add_argument("--dx", type=float, help="lattice spacing")
-    p.add_argument("--mass", type=float)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--chirp", type=float)
-    p.add_argument("--p0", type=float)
-    p.add_argument("--x0", type=float)
-    p.add_argument("--times", type=_parse_times, help="start:stop:step or explicit list")
-    p.add_argument("--density-out", dest="density_out", help="also write the final density profile CSV")
-    p.set_defaults(func=run_wavepacket)
-
-    p = sub.add_parser("entangle", help="two-term entangled pair report")
-    common(p)
-    p.add_argument("--overlap-a", dest="overlap_a", type=float, help="overlap of the two A-side states")
-    p.add_argument("--overlap-b", dest="overlap_b", type=float, help="overlap of the two B-side states")
-    p.set_defaults(func=run_entangle)
-
-    p = sub.add_parser("measure", help="premeasure, decohere, and sample outcomes")
-    common(p)
-    p.add_argument("--weights", type=_parse_float_list, help="outcome weights |f|^2 (comma separated)")
-    p.add_argument("--apparatus-energy", dest="apparatus_energy", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=run_measure)
-
-    p = sub.add_parser("verify", help="reduced-scale invariant suite")
-    common(p)
-    p.add_argument("--only", help="run only the named checks (comma separated tags)")
-    p.add_argument("--inject-fault", dest="inject_fault", help=argparse.SUPPRESS)
-    p.set_defaults(func=run_verify)
-
+    commands["wick"].add_argument("--expr", help="expression, e.g. 'bose: a(x1) a+(x2)'")
+    commands["wick"].add_argument("--file", help="read the expression from a file")
+    commands["wick"].add_argument("--out", help="also write the normal form to this artifact file")
+    commands["wavepacket"].add_argument(
+        "--density-out", dest="density_out", help="also write the final density profile CSV"
+    )
+    commands["verify"].add_argument("--only", help="run only the named checks (comma separated tags)")
+    commands["verify"].add_argument("--inject-fault", dest="inject_fault", help=argparse.SUPPRESS)
     return parser
 
 

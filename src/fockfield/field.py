@@ -80,8 +80,9 @@ class LatticeSpec:
         agree as Δx → 0, but the discrete form is smooth across the zone
         boundary and keeps the group velocity below 1, which is what lets
         the spacelike commutator cancel to spectral accuracy instead of
-        O(Δx²).  For m = 0 the k = 0 entry is 0 and must be excluded from
-        measure-weighted sums (infrared cutoff).
+        O(Δx²).  The k = 0 entry is 0 for m = 0 and for any mass whose
+        square underflows to 0 (m below about 1.6e-162); such entries must
+        be excluded from measure-weighted sums (infrared cutoff).
         """
         p_eff = (2.0 / self.spacing) * np.sin(self.momenta * self.spacing / 2.0)
         return np.sqrt(self.mass**2 + p_eff**2)
@@ -289,15 +290,16 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
     equal times on the site grid); without them it is set by the particle
     propagator and stays finite.
 
-    For m = 0 the k = 0 mode is excluded (infrared cutoff); callers that
-    record artifacts should flag this in their metadata.
+    Every mode with ω = 0 is excluded (infrared cutoff): the k = 0 mode
+    when m = 0 or when m² underflows to 0.  Callers that record artifacts
+    should flag this in their metadata.
     """
     if lattice.dispersion is not Dispersion.RELATIVISTIC:
         raise ValueError("commutator mode sum requires the relativistic dispersion")
     w = lattice.frequencies
     p = lattice.momenta
     keep = w > 0
-    if lattice.mass == 0 and not np.all(keep):
+    if not np.all(keep):
         w, p = w[keep], p[keep]
     theta = p * dx - w * dt
     summand = np.exp(1j * theta)
@@ -351,7 +353,7 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     w = lattice.frequencies
     p = lattice.momenta
     keep = w > 0
-    if lattice.mass == 0 and not np.all(keep):
+    if not np.all(keep):
         w, p = w[keep], p[keep]
     M = lattice.num_sites
     two_w = 2.0 * w

@@ -1,12 +1,14 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from fockfield import artifacts
-from fockfield.cli import main
+from fockfield.cli import PARAMETERS, _occupations_at, main
 from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
+from fockfield.fock import ModeSpace, Statistics
 
 
 def run(args):
@@ -258,3 +260,118 @@ def test_verify_output_reproducible(capsys):
     assert run(["verify"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# one parameter rule for every scenario: ints >= 0, floats finite, lists
+# non-empty with finite entries; a bad value exits 2 naming the parameter
+
+
+def bad_values(caster):
+    if caster is int:
+        return ["-1"]
+    if caster is float:
+        return ["nan", "inf"]
+    return ["", "nan,1", "1,inf"]
+
+
+PARAMETER_CASES = [
+    pytest.param(scenario, name, value, id=f"{scenario}-{name}-{value or 'empty'}")
+    for scenario, table in PARAMETERS.items()
+    for name, (caster, _, _) in table.items()
+    for value in bad_values(caster)
+]
+
+
+def assert_rejected(out_dir, err, name):
+    assert err.startswith(f"error: {name} must"), err
+    assert "numpy" not in err and "RuntimeWarning" not in err and "Traceback" not in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, name, value", PARAMETER_CASES)
+def test_every_parameter_rejects_a_bad_flag(tmp_path, capsys, scenario, name, value):
+    flag = "--" + name.replace("_", "-")
+    assert run([scenario, "--out-dir", str(tmp_path / "out"), f"{flag}={value}"]) == 2
+    assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, name, value", PARAMETER_CASES)
+def test_every_parameter_rejects_a_bad_config_key(tmp_path, capsys, scenario, name, value):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{scenario}]\n{name} = {value}\n")
+    assert run([scenario, "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
+
+
+def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[fock-check]\nmodes = four\n")
+    assert run(["fock-check", "--out-dir", str(tmp_path), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: modes: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, name", [
+    (["wavepacket", "--times", "5:0:1"], "times"),
+    (["wavepacket", "--times", "5:0:1", "--density-out", "d.csv"], "times"),
+    (["wavepacket", "--sigma0", "nan"], "sigma0"),
+    (["wavepacket", "--chirp", "inf"], "chirp"),
+    (["wavepacket", "--x0", "nan"], "x0"),
+    (["wavepacket", "--times", "nan"], "times"),
+    (["measure", "--weights", "nan,1"], "weights"),
+    (["measure", "--apparatus-energy", "nan"], "apparatus_energy"),
+    (["measure", "--seed", "-1"], "seed"),
+    (["fock-check", "--seed", "-1"], "seed"),
+    (["fock-check", "--pairs", "-5"], "pairs"),
+    (["causality", "--dts", "", "--separations", "1"], "dts"),
+])
+def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
+    assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
+
+
+def test_times_range_is_bounded(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["wavepacket", "--out-dir", str(tmp_path), "--times", "0:1e9:1"])
+    assert exc.value.code == 2
+    assert "--times" in capsys.readouterr().err
+    config = tmp_path / "run.ini"
+    for text in ("0:1e9:1", "-1e308:1e308:1", "0:inf:1"):
+        config.write_text(f"[wavepacket]\ntimes = {text}\n")
+        assert run(["wavepacket", "--out-dir", str(tmp_path), "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: times: times ")
+    assert not (tmp_path / "wavepacket.csv").exists()
+
+
+def test_fock_check_large_space_draws_without_enumerating(tmp_path):
+    start = time.perf_counter()
+    assert run(["fock-check", "--out-dir", str(tmp_path), "--modes", "12", "--nmax", "8"]) == 0
+    assert time.perf_counter() - start < 15.0
+
+
+def test_fock_check_unindexable_space_exits_2(tmp_path, capsys):
+    assert run(["fock-check", "--out-dir", str(tmp_path), "--modes", "64", "--nmax", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: modes = 64")
+    assert not (tmp_path / "fock_check.csv").exists()
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("modes", range(1, 6))
+@pytest.mark.parametrize("nmax", range(1, 6))
+def test_occupations_at_matches_filtered_basis_states(stats, modes, nmax):
+    # the basis list the ladder-relation draw indexed before it decoded indices
+    space = ModeSpace(modes, stats, nmax=nmax)
+    cap = space.occupation_cap - (1 if stats is Statistics.BOSE else 0)
+    states = [occ for occ in space.basis_states() if max(occ) <= cap]
+    assert [_occupations_at(i, cap + 1, modes) for i in range(len(states))] == states
+
+
+@pytest.mark.filterwarnings("error")
+def test_causality_mass_whose_square_underflows_equals_massless(tmp_path):
+    for sub, mass in (("tiny", "1e-200"), ("zero", "0")):
+        assert run(["causality", "--out-dir", str(tmp_path / sub), "--M", "64", "--mass", mass]) == 0
+        assert json.loads(read(tmp_path / sub / "causality.meta.json"))["k0_excluded"] is True
+    assert read(tmp_path / "tiny" / "causality.csv") == read(tmp_path / "zero" / "causality.csv")
