@@ -75,19 +75,23 @@ MAX_TIME_SAMPLES = 10**6
 
 
 def _parse_times(text: str):
-    """'start:stop:step' inclusive range, or a comma/space separated list."""
+    """'start:stop:step' inclusive range, or a comma/space separated list.
+
+    A range that parses but is unusable raises ArgumentTypeError, whose
+    reason argparse prints as it is.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"times must be start:stop:step, got {text!r}")
+            raise argparse.ArgumentTypeError(f"times must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
         if not np.all(np.isfinite([start, stop, step])):
-            raise ValueError(f"times must be finite, got {text!r}")
+            raise argparse.ArgumentTypeError(f"times must be finite, got {text!r}")
         if step <= 0:
-            raise ValueError("times step must be positive")
+            raise argparse.ArgumentTypeError("times step must be positive")
         count = (stop - start) / step  # inf if the span overflows
         if count >= MAX_TIME_SAMPLES:
-            raise ValueError(f"times {text!r} has more than {MAX_TIME_SAMPLES} samples")
+            raise argparse.ArgumentTypeError(f"times {text!r} has more than {MAX_TIME_SAMPLES} samples")
         n = int(round(count))
         return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-12]
     return _parse_float_list(text)
@@ -157,7 +161,7 @@ def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
         if value is None and key in file_values:
             try:
                 value = caster(file_values[key])
-            except ValueError as err:
+            except (ValueError, argparse.ArgumentTypeError) as err:
                 raise ValueError(f"{name}: {err}") from None
         elif value is None:
             value = default
@@ -257,6 +261,8 @@ def run_wick(args) -> int:
 
 def run_causality(args) -> int:
     p = _merged_params(args, "causality")
+    if p["cone_margin"] < 0:  # a negative margin lets timelike points into the sweep
+        raise ValueError(f"cone_margin must be >= 0, got {p['cone_margin']!r}")
     lattice = LatticeSpec(p["M"], p["dx"], p["mass"], Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
@@ -335,6 +341,9 @@ def run_measure(args) -> int:
     weights = np.asarray(p["weights"], dtype=float)
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("weights must be nonnegative and sum to 1")
+    tau = decoherence_time(p["apparatus_energy"])
+    if not np.isfinite(tau):
+        raise ValueError(f"apparatus_energy must be large enough that 1/E is finite, got {p['apparatus_energy']!r}")
     model = MeasurementModel(
         tuple(range(len(weights))), tuple(np.sqrt(weights)), p["apparatus_energy"]
     )
@@ -351,7 +360,7 @@ def run_measure(args) -> int:
     artifacts.write_metadata(
         path, "measure", p, __version__,
         seed=p["seed"], generator=GENERATOR_NAME,
-        extra={"decoherence_time": decoherence_time(p["apparatus_energy"])},
+        extra={"decoherence_time": tau},
     )
     print(f"wrote {path} ({p['n_samples']} draws)")
     return 0

@@ -1,14 +1,19 @@
 """Symbolic normal ordering of ladder-operator strings.
 
 Expressions are sequences of abstract creation/annihilation symbols over
-free labels (x, x', p1, ...).  Rewriting uses the exchange rule
+free labels (x, x', p1, ...).  Normal ordering is one left-to-right pass
+over the symbols (Wick's theorem) that keeps what it has read as merged
+normal-ordered states: (sorted creator labels, sorted annihilator labels,
+sorted delta pairs) → integer coefficient.  An annihilator joins its
+block.  A creator contracts with each pending annihilator by
 
-    a(α) a+(β) = δ_{αβ} ± a+(β) a(α)     (+ bosons, − fermions)
+    a(α) a+(β) = δ_{αβ} ± a+(β) a(α)     (+ bosons, − fermions),
 
-applied to the leftmost offending adjacent pair until every term has all
-creators left of all annihilators; the inversion count strictly
-decreases, so this terminates.  Kronecker deltas stay symbolic as label
-pairs and are resolved only when a concrete index assignment is supplied.
+and also joins its block.  A fermion pays the parity of the symbols it
+passes; a repeated fermion label is zero.  The vacuum expectation runs
+the same pass, contracting every creator, and keeps the states with no
+annihilator left.  More than MAX_TERMS live states raise ValueError.
+Deltas stay symbolic until an index assignment is supplied.
 
 Grammar (parse/format round-trip):
 
@@ -21,6 +26,7 @@ Grammar (parse/format round-trip):
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,31 +152,43 @@ def parse(text: str) -> OperatorString:
     return OperatorString(tuple(symbols), stats)
 
 
-def _term_sort_key(term: NormalTerm):
-    ops = tuple((s.kind.value, s.label) for s in term.operators)
-    return (ops, term.deltas)
+MAX_TERMS = 100_000
 
 
-def _sorted_block(symbols, fermi: bool):
-    """Canonicalize same-kind symbols by label.
-
-    They (anti)commute exactly, so sorting is free up to a fermionic sign
-    given by the parity of the permutation; a fermionic repeat makes the
-    whole term the zero operator.
-    """
-    labels = [s.label for s in symbols]
-    if fermi and len(set(labels)) != len(labels):
-        return 0, ()
-    sign = 1
-    if fermi:
-        inversions = sum(
-            1
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-            if labels[i] > labels[j]
-        )
-        sign = -1 if inversions % 2 else 1
-    return sign, tuple(sorted(symbols, key=lambda s: s.label))
+def _contract(s: OperatorString, vacuum: bool) -> dict:
+    """The contraction pass: {(creator labels, annihilator labels, deltas): coefficient}."""
+    fermi = s.statistics is Statistics.FERMI
+    swap = -1 if fermi else 1
+    states = {((), (), ()): 1}
+    for sym in s.symbols:
+        label, create = sym.label, sym.kind is LadderKind.CREATE
+        new: dict = {}
+        for (cre, ann, deltas), coeff in states.items():
+            if create:
+                for j, other in enumerate(ann):  # contract with ann[j] after passing ann[j+1:]
+                    d = deltas
+                    if other != label:  # δ(x, x) = 1, and δ² = δ
+                        pair = (other, label) if other < label else (label, other)
+                        i = bisect_left(deltas, pair)
+                        if deltas[i:i + 1] != (pair,):
+                            d = deltas[:i] + (pair,) + deltas[i:]
+                    key = (cre, ann[:j] + ann[j + 1:], d)
+                    new[key] = new.get(key, 0) + coeff * swap ** (len(ann) - 1 - j)
+                if len(new) > MAX_TERMS:
+                    raise ValueError(f"expression has more than {MAX_TERMS} terms")
+                if vacuum:
+                    continue
+            # move into its block: a creator passes every annihilator, then the larger labels
+            block = cre if create else ann
+            i = bisect_right(block, label)
+            if fermi and i and block[i - 1] == label:
+                continue  # a repeated fermion is the zero operator
+            passed = len(block) - i + (len(ann) if create else 0)
+            block = block[:i] + (label,) + block[i:]
+            key = (block, ann, deltas) if create else (cre, block, deltas)
+            new[key] = new.get(key, 0) + coeff * swap ** passed
+        states = new
+    return states
 
 
 def normal_order(s: OperatorString) -> NormalForm:
@@ -181,38 +199,15 @@ def normal_order(s: OperatorString) -> NormalForm:
     fermionic sign) and the term list is ordered canonically, so equal
     inputs print identically.
     """
-    swap_sign = 1 if s.statistics is Statistics.BOSE else -1
-    pending = [(1, frozenset(), list(s.symbols))]
-    collected: dict = {}
-    while pending:
-        coeff, deltas, syms = pending.pop()
-        for i in range(len(syms) - 1):
-            if syms[i].kind is LadderKind.ANNIHILATE and syms[i + 1].kind is LadderKind.CREATE:
-                a, b = syms[i].label, syms[i + 1].label
-                contracted = syms[:i] + syms[i + 2:]
-                new_deltas = deltas if a == b else deltas | {tuple(sorted((a, b)))}
-                pending.append((coeff, new_deltas, contracted))
-                swapped = syms[:i] + [syms[i + 1], syms[i]] + syms[i + 2:]
-                pending.append((coeff * swap_sign, deltas, swapped))
-                break
-        else:
-            fermi = s.statistics is Statistics.FERMI
-            split = next(
-                (i for i, sym in enumerate(syms) if sym.kind is LadderKind.ANNIHILATE),
-                len(syms),
-            )
-            csign, creates = _sorted_block(syms[:split], fermi)
-            asign, annihilates = _sorted_block(syms[split:], fermi)
-            if csign * asign == 0:
-                continue
-            key = (tuple(sorted(deltas)), creates + annihilates)
-            collected[key] = collected.get(key, 0) + coeff * csign * asign
-    terms = [
-        NormalTerm(coeff, deltas, ops)
-        for (deltas, ops), coeff in collected.items()
-        if coeff != 0
-    ]
-    terms.sort(key=_term_sort_key)
+    creators = {sym.label: sym for sym in s.symbols if sym.kind is LadderKind.CREATE}
+    annihilators = {sym.label: sym for sym in s.symbols if sym.kind is LadderKind.ANNIHILATE}
+    # A state key orders as ((kind, label) of each operator, deltas) would:
+    # a shorter block sorts first, as "a" < "a+".
+    terms = (
+        NormalTerm(coeff, deltas, tuple(map(creators.__getitem__, cre)) + tuple(map(annihilators.__getitem__, ann)))
+        for (cre, ann, deltas), coeff in sorted(_contract(s, vacuum=False).items())
+        if coeff
+    )
     return NormalForm(tuple(terms), s.statistics)
 
 
@@ -223,10 +218,10 @@ def vacuum_expectation(s: OperatorString) -> DeltaPolynomial:
     vacuum (or creator acting leftward on it) kills the term, so the
     expectation is the sum of coefficients of operator-free terms.
     """
-    nf = normal_order(s)
-    return DeltaPolynomial(
-        tuple((t.coefficient, t.deltas) for t in nf.terms if not t.operators)
+    found = sorted(
+        (deltas, coeff) for (_, ann, deltas), coeff in _contract(s, vacuum=True).items() if coeff and not ann
     )
+    return DeltaPolynomial(tuple((coeff, deltas) for deltas, coeff in found))
 
 
 def evaluate(dp: DeltaPolynomial, assignment) -> int:

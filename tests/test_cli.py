@@ -9,6 +9,7 @@ from fockfield import artifacts
 from fockfield.cli import PARAMETERS, _occupations_at, main
 from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
 from fockfield.fock import ModeSpace, Statistics
+from fockfield.wick import MAX_TERMS
 
 
 def run(args):
@@ -54,6 +55,15 @@ def test_wick_from_file_and_artifact(tmp_path, capsys):
     assert run(["wick", "--file", str(src), "--out-dir", str(tmp_path), "--out", "wick.txt"]) == 0
     assert read(tmp_path / "wick.txt").strip() == "d(p,q) - a+(q) a(p)"
     assert (tmp_path / "wick.meta.json").exists()
+
+
+def test_wick_beyond_the_term_limit_exits_2(tmp_path, capsys):
+    expr = "bose: " + " ".join(f"a(x{i})" for i in range(1, 13)) + " " + " ".join(f"a+(y{i})" for i in range(1, 13))
+    assert run(["wick", "--expr", expr, "--out-dir", str(tmp_path), "--out", "wick.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: expression has more than {MAX_TERMS} terms\n"
+    assert captured.out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_wavepacket_artifact_schema_and_monotone_correlation(tmp_path):
@@ -327,6 +337,8 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     (["fock-check", "--seed", "-1"], "seed"),
     (["fock-check", "--pairs", "-5"], "pairs"),
     (["causality", "--dts", "", "--separations", "1"], "dts"),
+    (["causality", "--cone-margin", "-5"], "cone_margin"),
+    (["measure", "--apparatus-energy", "1e-320"], "apparatus_energy"),
 ])
 def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -334,16 +346,31 @@ def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
 
 
 def test_times_range_is_bounded(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["wavepacket", "--out-dir", str(tmp_path), "--times", "0:1e9:1"])
-    assert exc.value.code == 2
-    assert "--times" in capsys.readouterr().err
     config = tmp_path / "run.ini"
-    for text in ("0:1e9:1", "-1e308:1e308:1", "0:inf:1"):
+    for text, reason in (
+        ("0:1e9:1", "has more than 1000000 samples"),
+        ("-1e308:1e308:1", "has more than 1000000 samples"),
+        ("0:inf:1", "times must be finite"),
+        ("0:1:0", "times step must be positive"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(["wavepacket", "--out-dir", str(tmp_path), f"--times={text}"])
+        assert exc.value.code == 2
+        flag_err = capsys.readouterr().err.splitlines()[-1]
         config.write_text(f"[wavepacket]\ntimes = {text}\n")
         assert run(["wavepacket", "--out-dir", str(tmp_path), "--config", str(config)]) == 2
-        assert capsys.readouterr().err.startswith("error: times: times ")
+        config_err = capsys.readouterr().err
+        assert reason in config_err
+        # the flag gives the reason the config file gives
+        assert flag_err.split("error: argument --times: ")[1] == config_err.removeprefix("error: times: ").rstrip("\n")
     assert not (tmp_path / "wavepacket.csv").exists()
+
+
+def test_measure_rejects_apparatus_energy_whose_inverse_overflows(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[measure]\napparatus_energy = 1e-320\n")
+    assert run(["measure", "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    assert_rejected(tmp_path / "out", capsys.readouterr().err, "apparatus_energy")
 
 
 def test_fock_check_large_space_draws_without_enumerating(tmp_path):

@@ -1,3 +1,9 @@
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +29,7 @@ from fockfield.wick import (
     parse,
     vacuum_expectation,
 )
+from wick_rewrite import rewrite_normal_order, rewrite_vacuum_expectation
 
 
 def apply_string(s: OperatorString, assignment, space: ModeSpace) -> FockVector:
@@ -231,3 +238,66 @@ def test_property_printer_roundtrip(s):
 @given(operator_strings(Statistics.FERMI))
 def test_property_normal_form_is_deterministic(s):
     assert normal_order(s) == normal_order(parse(str(s)))
+
+
+# ----------------------------------------------------------------------
+# the contraction pass against the adjacent-swap rewrite it replaced
+
+
+@st.composite
+def oracle_strings(draw):
+    # one to three labels repeat often; eight labels are mostly distinct
+    labels = draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z"), tuple(f"p{i}" for i in range(8))]))
+    syms = draw(st.lists(
+        st.builds(LadderSymbol, st.sampled_from(list(LadderKind)), st.sampled_from(labels)),
+        max_size=8,
+    ))
+    return OperatorString(tuple(syms), draw(st.sampled_from(list(Statistics))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_strings())
+def test_property_contraction_pass_equals_rewrite_oracle(s):
+    nf, expected = normal_order(s), rewrite_normal_order(s)
+    assert nf == expected
+    assert str(nf) == str(expected)
+    dp, expected_dp = vacuum_expectation(s), rewrite_vacuum_expectation(s)
+    assert dp == expected_dp
+    assert str(dp) == str(expected_dp)
+
+
+def test_normal_form_text_does_not_depend_on_the_hash_seed():
+    texts = [
+        "bose: a(x1) a(x2) a(x3) a+(y1) a+(y2) a+(y3)",
+        "fermi: a(b) a(a) a+(c) a+(a) a(c) a+(b) a+(d)",
+        "bose: a(q) a+(p) a(p) a+(q) a(r) a+(r)",
+    ]
+    code = (
+        "import sys\n"
+        "from fockfield.wick import normal_order, parse, vacuum_expectation\n"
+        "for text in sys.argv[1:]:\n"
+        "    print(normal_order(parse(text)), vacuum_expectation(parse(text)), sep='\\n')\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code, *texts],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[::2] == [str(normal_order(parse(t))) for t in texts]
+
+
+def test_vacuum_of_twelve_repeated_bosons_is_twelve_factorial():
+    s = parse("bose: " + " ".join(["a(x)"] * 12 + ["a+(x)"] * 12))
+    assert vacuum_expectation(s) == DeltaPolynomial(((math.factorial(12), ()),))
+
+
+@pytest.mark.parametrize("prefix", ["bose", "fermi"])
+def test_vacuum_of_twelve_alternating_pairs_is_one_term(prefix):
+    s = parse(f"{prefix}: " + " ".join(f"a(x{i}) a+(y{i})" for i in range(1, 13)))
+    pairs = tuple(sorted((f"x{i}", f"y{i}") for i in range(1, 13)))
+    assert vacuum_expectation(s) == DeltaPolynomial(((1, pairs),))
