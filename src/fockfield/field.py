@@ -315,7 +315,9 @@ def default_spacelike_grid(lattice: LatticeSpec, extent: float | None = None,
     Two families: the equal-time axis dt = 0 (where the cancellation is
     an exact lattice symmetry) and the wedge dx ≥ dt + cone_margin.  The
     margin keeps samples clear of the lattice-smeared light cone, whose
-    crossover region is a few Compton wavelengths wide.
+    crossover region is a few Compton wavelengths wide.  Points within
+    1e-12 of the cone itself are left out at any margin: the two arange
+    grids can differ by an ulp where dt == dx.
     """
     if extent is None:
         extent = lattice.length / 4.0
@@ -328,7 +330,7 @@ def default_spacelike_grid(lattice: LatticeSpec, extent: float | None = None,
         (float(dt), float(dx))
         for dt in dts[1:]
         for dx in dxs
-        if dx >= dt + cone_margin - 1e-12
+        if dx >= dt + cone_margin - 1e-12 and dx - dt > 1e-12
     ]
     return pairs
 

@@ -12,11 +12,25 @@ expectation value.
 
 All operations are pure: they return new FockVector instances and never
 mutate their arguments.
+
+The ``amplitudes`` dict is the stored form of every state.  Most
+operations walk it directly, which is fastest for the few-component
+states of the CLI.  Two operations switch to numpy array kernels once the
+work reaches ``ARRAY_CUTOFF``: ``transformed_create`` (input components ×
+nonzero coefficients), which merges the contributions of all modes in one
+pass, and ``number_expectation`` (components), which reads an occupation
+matrix and an |amplitude|² vector cached on the state.  The
+``transformed_create`` kernel returns the same dict as the loop, in keys,
+insertion order and amplitude bits; the ``number_expectation`` kernel
+sums pairwise, so it agrees with the loop to rounding.  Every state the
+CLI builds is below the cutoff.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,6 +39,14 @@ import numpy as np
 from . import faults
 
 NORM_TOL = 1e-8
+
+# Work (components, times nonzero coefficients for transformed_create) from
+# which the array kernels beat the dict loops.
+ARRAY_CUTOFF = 256
+
+# Rows per chunk when the transformed_create kernel turns its arrays into
+# dict entries; bounds the transient Python lists.
+_DICT_CHUNK = 4096
 
 
 class Statistics(Enum):
@@ -83,13 +105,17 @@ class ModeSpace:
 class FockVector:
     """Sparse Fock-space vector: occupation tuple → complex amplitude.
 
-    The empty map is the null element.  Treat instances as immutable.
+    The empty map is the null element.  Treat instances as immutable: the
+    norm and the kernels' occupation matrix and |amplitude|² vector are
+    cached on the instance, and nothing invalidates them.
     """
 
     mode_space: ModeSpace
     amplitudes: dict = field(default_factory=dict)
+    _occupations: object = field(default=None, init=False, compare=False, repr=False)
+    _weights: object = field(default=None, init=False, compare=False, repr=False)
 
-    @property
+    @functools.cached_property
     def norm(self) -> float:
         return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
 
@@ -189,13 +215,12 @@ def create(v: FockVector, mode: int, species: int = 0) -> FockVector:
         else:
             if n + 1 > space.nmax:
                 continue
-            new_amp = amp * np.sqrt(n + 1)
-        new_occ = occ[:slot] + (n + 1,) + occ[slot + 1:]
-        s = out.get(new_occ, 0.0) + new_amp
-        if s == 0.0:
-            out.pop(new_occ, None)
-        else:
-            out[new_occ] = s
+            new_amp = amp * math.sqrt(n + 1)  # the bits of np.sqrt, without its call cost
+        # occupations map one to one, so each key is new; adding 0.0 turns a
+        # -0.0 part into +0.0 as a sum does
+        s = 0.0 + new_amp
+        if s != 0.0:
+            out[occ[:slot] + (n + 1,) + occ[slot + 1:]] = s
     return FockVector(space, out)
 
 
@@ -216,13 +241,10 @@ def annihilate(v: FockVector, mode: int, species: int = 0) -> FockVector:
         if fermi:
             new_amp = amp * _jw_sign(occ, slot)
         else:
-            new_amp = amp * np.sqrt(n)
-        new_occ = occ[:slot] + (n - 1,) + occ[slot + 1:]
-        s = out.get(new_occ, 0.0) + new_amp
-        if s == 0.0:
-            out.pop(new_occ, None)
-        else:
-            out[new_occ] = s
+            new_amp = amp * math.sqrt(n)
+        s = 0.0 + new_amp
+        if s != 0.0:
+            out[occ[:slot] + (n - 1,) + occ[slot + 1:]] = s
     return FockVector(space, out)
 
 
@@ -237,10 +259,177 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.num_modes,):
         raise ValueError(f"expected {space.num_modes} coefficients, got {coeffs.shape}")
+    modes = [mode for mode, c in enumerate(coeffs) if c != 0.0]
+    if len(v.amplitudes) * len(modes) >= ARRAY_CUTOFF:
+        out = _transformed_create_kernel(v, coeffs, modes, space.slot(0, species))
+        if out is not None:
+            return out
     out = FockVector(space, {})
-    for mode, c in enumerate(coeffs):
-        if c != 0.0:
-            out = out + c * create(v, mode, species)
+    for mode in modes:
+        out = out + coeffs[mode] * create(v, mode, species)
+    return out
+
+
+def _occupation_dtype(cap: int):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if cap <= np.iinfo(dtype).max:
+            return dtype
+    return None
+
+
+def _occupation_matrix(v: FockVector):
+    """Occupation rows of v in amplitudes order, cached on v.
+
+    None when a key is not a tuple of num_slots occupations in [0, cap]
+    (possible only for a hand-built vector); callers then use the dict loop.
+    """
+    if v._occupations is None:
+        space = v.mode_space
+        cap = space.occupation_cap
+        dtype = _occupation_dtype(cap)
+        if dtype is None:
+            return None
+        try:
+            occ = np.array(list(v.amplitudes), dtype=dtype)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        if occ.shape != (len(v.amplitudes), space.num_slots) or occ.min() < 0 or occ.max() > cap:
+            return None
+        v._occupations = occ
+    return v._occupations
+
+
+def _pack(occ: np.ndarray, bits: int) -> np.ndarray:
+    """Occupation rows as uint64 words, ``bits`` bits per slot; word-major."""
+    per_word = 64 // bits
+    num_slots = occ.shape[1]
+    words = np.zeros((-(-num_slots // per_word), len(occ)), dtype=np.uint64)
+    for slot in range(num_slots):
+        words[slot // per_word] |= occ[:, slot].astype(np.uint64) << np.uint64(bits * (slot % per_word))
+    return words
+
+
+def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
+    """transformed_create as one merge over all modes' contributions.
+
+    Reproduces the loop ``out = out + c * create(v, mode)`` exactly:
+    - each contribution is c * (amp * s), with s = sqrt(n+1) or the
+      Jordan-Wigner sign, in the float operations of the scalar complex
+      product;
+    - each key's contributions are summed in mode order, one round per
+      contribution rank, starting from +0.0; such a sum never holds -0.0,
+      so neither the sign of a zero part of a contribution nor the reset
+      after an exact cancellation needs handling;
+    - a key whose running sum is exactly zero is dropped, and it is
+      re-inserted by its next contribution, so keys come out ordered by
+      the contribution that last inserted them.
+
+    The loop's amplitudes stay Python complex when v's are, because numpy
+    hands the coefficient to FockVector.__rmul__ as a Python complex; the
+    kernel emits the same type.  Returns None, for the loop to run, when
+    v's keys have no occupation matrix, its amplitudes mix types, or an
+    amplitude or coefficient is not finite (where inf·0 terms matter).
+    """
+    space = v.mode_space
+    occ = _occupation_matrix(v)
+    kinds = {type(a) for a in v.amplitudes.values()}
+    if occ is None or (kinds != {complex} and kinds != {np.complex128}):
+        return None
+    amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
+    if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(coeffs))):
+        return None
+    cap = space.occupation_cap
+    bits = cap.bit_length()
+    per_word = 64 // bits
+    fermi = space.statistics is Statistics.FERMI
+    flip_signs = fermi and not faults.active("fermi-sign")
+
+    # Contributions in the loop's order: mode-major, then v's order.  Each
+    # is (source row, mode); its key is the source's packed row plus one in
+    # the mode's slot.  The loop skips zero amplitudes; here they add ±0.0,
+    # which changes no sum.
+    src = [np.flatnonzero(occ[:, base_slot + mode] < cap).astype(np.int32) for mode in modes]
+    bounds = np.cumsum([0] + [len(rows) for rows in src])
+    total = int(bounds[-1])
+    if total == 0:
+        return FockVector(space, {})
+    src = np.concatenate(src)
+    mode_slots = base_slot + np.asarray(modes)
+    mode_coeffs = coeffs[modes]
+    if flip_signs:
+        # occupied slots up to each slot; a raisable fermion slot is empty,
+        # so there this counts the slots below it
+        parity = np.cumsum(occ, axis=1) % 2
+
+    def contributions(idx):
+        """c * (amp * s) of the contributions idx, as (re, im)."""
+        j = np.searchsorted(bounds, idx, side="right") - 1
+        rows, slots = src[idx], mode_slots[j]
+        if not fermi:
+            s = np.sqrt(occ[rows, slots] + 1.0)
+        elif flip_signs:
+            s = 1.0 - 2.0 * parity[rows, slots]
+        else:
+            s = np.ones(len(rows))
+        u_re = amps.real[rows] * s
+        u_im = amps.imag[rows] * s
+        c_re, c_im = mode_coeffs.real[j], mode_coeffs.imag[j]
+        return c_re * u_re - c_im * u_im, c_re * u_im + c_im * u_re
+
+    def merge():
+        """Sum each key's contributions; (inserting contribution, re, im) per kept key.
+
+        The temporaries all die together on return, leaving one free region
+        of the heap for the dict and the rows built next.
+        """
+        # Each key is its source's packed row plus one in the raised slot.
+        # Group equal keys; lexsort is stable, so each key's run is in loop order.
+        base = _pack(occ, bits)
+        incs = np.zeros((len(base), len(modes)), dtype=np.uint64)
+        incs[mode_slots // per_word, np.arange(len(modes))] = np.uint64(1) << (bits * (mode_slots % per_word)).astype(np.uint64)
+        words = base[:, src] + incs[:, np.repeat(np.arange(len(modes)), np.diff(bounds))]
+        order = np.lexsort(words)
+        first = np.zeros(total, dtype=bool)
+        first[0] = True
+        for word in words:
+            ranked = word[order]
+            first[1:] |= ranked[1:] != ranked[:-1]
+        starts = np.flatnonzero(first)
+        counts = np.diff(np.append(starts, total))
+
+        # Round r adds every key's r-th contribution.
+        acc_re = np.zeros(len(starts))
+        acc_im = np.zeros(len(starts))
+        present = np.zeros(len(starts), dtype=bool)
+        inserted_by = np.zeros(len(starts), dtype=np.intp)
+        for rank in range(int(counts.max())):
+            groups = np.flatnonzero(counts > rank)
+            at = order[starts[groups] + rank]
+            t_re, t_im = contributions(at)
+            re = acc_re[groups] + t_re
+            im = acc_im[groups] + t_im
+            zero = (re == 0.0) & (im == 0.0)
+            fresh = ~present[groups] & ~zero
+            inserted_by[groups[fresh]] = at[fresh]
+            acc_re[groups], acc_im[groups], present[groups] = re, im, ~zero
+        return inserted_by[present], acc_re[present], acc_im[present]
+
+    # Keys come out in the order of the contribution that inserted them.
+    inserted_by, re, im = merge()
+    order = np.argsort(inserted_by)
+    idx = inserted_by[order]
+    values = np.empty(len(idx), dtype=complex)
+    values.real, values.imag = re[order], im[order]
+    del inserted_by, re, im, order
+    rows = occ[src[idx]]
+    rows[np.arange(len(rows)), mode_slots[np.searchsorted(bounds, idx, side="right") - 1]] += 1
+    amplitudes: dict = {}
+    for lo in range(0, len(rows), _DICT_CHUNK):
+        hi = lo + _DICT_CHUNK
+        chunk = values[lo:hi].tolist() if kinds == {complex} else values[lo:hi]
+        amplitudes.update(zip(zip(*rows[lo:hi].T.tolist()), chunk))
+    out = FockVector(space, amplitudes)
+    out._occupations = rows
     return out
 
 
@@ -266,16 +455,27 @@ def number_expectation(v: FockVector, mode=None, species=None) -> float:
     """
     _check_normalized(v, "state")
     space = v.mode_space
+    if mode is None and species is None and space.species_count == 2:
+        return number_expectation(v, species=0) - number_expectation(v, species=1)
     if mode is not None:
-        slot = space.slot(mode, 0 if species is None else species)
-        return float(sum(abs(a) ** 2 * occ[slot] for occ, a in v.amplitudes.items()))
-    if species is not None:
+        lo = space.slot(mode, 0 if species is None else species)
+        hi = lo + 1
+    elif species is not None:
         lo = space.slot(0, species)
         hi = lo + space.num_modes
-        return float(sum(abs(a) ** 2 * sum(occ[lo:hi]) for occ, a in v.amplitudes.items()))
-    if space.species_count == 1:
-        return float(sum(abs(a) ** 2 * sum(occ) for occ, a in v.amplitudes.items()))
-    return number_expectation(v, species=0) - number_expectation(v, species=1)
+    else:
+        lo, hi = 0, space.num_slots
+    if len(v.amplitudes) >= ARRAY_CUTOFF:
+        occ = _occupation_matrix(v)
+        if occ is not None:
+            if v._weights is None:
+                amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
+                v._weights = amps.real * amps.real + amps.imag * amps.imag
+            counts = occ[:, lo] if hi == lo + 1 else np.sum(occ[:, lo:hi], axis=1)
+            return float(np.sum(v._weights * counts))
+    if hi == lo + 1:
+        return float(sum(abs(a) ** 2 * occ[lo] for occ, a in v.amplitudes.items()))
+    return float(sum(abs(a) ** 2 * sum(occ[lo:hi]) for occ, a in v.amplitudes.items()))
 
 
 def two_particle_symmetrized(xi, eta, mode_space: ModeSpace) -> FockVector:
@@ -297,31 +497,3 @@ def two_particle_symmetrized(xi, eta, mode_space: ModeSpace) -> FockVector:
     if n < 1e-12:
         return FockVector(mode_space, {})
     return (1.0 / n) * w
-
-
-def dense_operator(mode_space: ModeSpace, kind: str, mode: int, species: int = 0) -> np.ndarray:
-    """Dense matrix of a ladder operator in the basis_states() ordering.
-
-    Intended for small spaces (brute-force checks); dimension grows as
-    (cap+1)^slots.
-    """
-    if kind not in ("create", "annihilate"):
-        raise ValueError("kind must be 'create' or 'annihilate'")
-    op = create if kind == "create" else annihilate
-    states = list(mode_space.basis_states())
-    index = {occ: i for i, occ in enumerate(states)}
-    mat = np.zeros((len(states), len(states)), dtype=complex)
-    for j, occ in enumerate(states):
-        image = op(FockVector(mode_space, {occ: 1.0 + 0.0j}), mode, species)
-        for out_occ, amp in image.amplitudes.items():
-            mat[index[out_occ], j] = amp
-    return mat
-
-
-def to_dense(v: FockVector) -> np.ndarray:
-    """Amplitude vector in the basis_states() ordering."""
-    states = {occ: i for i, occ in enumerate(v.mode_space.basis_states())}
-    vec = np.zeros(len(states), dtype=complex)
-    for occ, amp in v.amplitudes.items():
-        vec[states[occ]] = amp
-    return vec

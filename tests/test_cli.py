@@ -146,6 +146,15 @@ def test_causality_csv_matches_per_pair_pauli_jordan(tmp_path):
     assert read(tmp_path / "cli" / "causality.csv") == read(tmp_path / "oracle.csv")
 
 
+def test_causality_zero_cone_margin_leaves_out_the_light_cone(tmp_path):
+    # with margin 0 the wedge dx >= dt must not reach the cone dx == dt itself
+    assert run(["causality", "--out-dir", str(tmp_path), "--M", "64", "--cone-margin", "0"]) == 0
+    rows = [line.split(",") for line in read(tmp_path / "causality.csv").strip().splitlines()[1:]]
+    assert rows
+    assert all(abs(float(dx) - float(dt)) > 1e-12 for dt, dx, *_ in rows)
+    assert any(float(dt) > 0 for dt, *_ in rows)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags, name", [
     (["--dx", "nan"], "dx"),

@@ -1,8 +1,14 @@
+import math
+import struct
+from contextlib import contextmanager, nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fock_oracles import dense_operator, to_dense
+from fockfield import faults, fock
 from fockfield.fock import (
     FockVector,
     ModeSpace,
@@ -10,14 +16,15 @@ from fockfield.fock import (
     annihilate,
     basis_state,
     create,
-    dense_operator,
     inner,
     number_expectation,
-    to_dense,
     transformed_create,
     two_particle_symmetrized,
     vacuum,
 )
+
+# numpy cast and overflow warnings from the array kernels fail these tests
+pytestmark = pytest.mark.filterwarnings("error")
 
 BOSE2 = ModeSpace(2, Statistics.BOSE, nmax=4)
 FERMI2 = ModeSpace(2, Statistics.FERMI)
@@ -311,3 +318,211 @@ def test_property_fermi_create_annihilate_adjoint(bits):
                 continue
             back = annihilate(u, mode, sp)
             assert (back - s).norm < 1e-12
+
+
+def test_ladder_factors_are_the_bits_of_np_sqrt():
+    space = ModeSpace(1, Statistics.BOSE, nmax=10 ** 6)
+    for n in (1, 2, 3, 127, 128, 999_999):
+        up = create(basis_state(space, (n - 1,)), 0).amplitude((n,))
+        down = annihilate(basis_state(space, (n,)), 0).amplitude((n - 1,))
+        assert struct.pack("<d", up.real) == struct.pack("<d", down.real) == struct.pack("<d", np.sqrt(n))
+
+
+# -- array kernels against the dict loops ------------------------------------
+
+
+@contextmanager
+def dict_path():
+    """Run transformed_create and number_expectation on their dict loops."""
+    saved = fock.ARRAY_CUTOFF
+    fock.ARRAY_CUTOFF = math.inf
+    try:
+        yield
+    finally:
+        fock.ARRAY_CUTOFF = saved
+
+
+def exact_items(v):
+    """Keys in order, amplitude types and amplitude bits (signed zeros included)."""
+    return [(k, type(a), struct.pack("<dd", a.real, a.imag)) for k, a in v.amplitudes.items()]
+
+
+def loop_transformed_create(v, coeffs, species=0):
+    with dict_path():
+        return transformed_create(v, coeffs, species)
+
+
+def kernel_transformed_create(v, coeffs, species=0):
+    coeffs = np.asarray(coeffs, dtype=complex)
+    modes = [m for m, c in enumerate(coeffs) if c != 0.0]
+    return fock._transformed_create_kernel(v, coeffs, modes, v.mode_space.slot(0, species))
+
+
+# Few distinct values, so that sums cancel exactly; 1e-200 makes products
+# underflow to zero; -0.0 exercises the signed-zero arithmetic.
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-200, 0.3])
+SMALL_COMPLEX = st.builds(complex, PARTS, PARTS)
+
+
+@st.composite
+def kernel_cases(draw):
+    stats = draw(st.sampled_from([Statistics.BOSE, Statistics.FERMI]))
+    species_count = draw(st.sampled_from([1, 2]))
+    num_modes = draw(st.integers(1, 3))
+    # keep the dense oracle at most 256-dimensional
+    nmax = draw(st.integers(1, max(n for n in (1, 2, 3) if (n + 1) ** (num_modes * species_count) <= 256)))
+    space = ModeSpace(num_modes, stats, nmax=nmax, species_count=species_count)
+    states = list(space.basis_states())
+    keys = draw(st.lists(st.sampled_from(states), min_size=1, max_size=12, unique=True))
+    numpy_amplitudes = draw(st.booleans())
+    amps = {}
+    for key in keys:
+        a = draw(SMALL_COMPLEX)
+        amps[key] = np.complex128(a) if numpy_amplitudes else a
+    coeffs = draw(st.lists(SMALL_COMPLEX, min_size=space.num_modes, max_size=space.num_modes))
+    species = draw(st.integers(0, species_count - 1))
+    fault = stats is Statistics.FERMI and draw(st.booleans())
+    return FockVector(space, amps), coeffs, species, fault
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_property_transformed_create_kernel_equals_dict_loop_bitwise(case):
+    v, coeffs, species, fault = case
+    with faults.injected("fermi-sign") if fault else nullcontext():
+        got = kernel_transformed_create(v, coeffs, species)
+        want = loop_transformed_create(v, coeffs, species)
+        ops = [dense_operator(v.mode_space, "create", m, species) for m in range(v.mode_space.num_modes)]
+    assert exact_items(got) == exact_items(want)
+    dense = sum((c * op for c, op in zip(coeffs, ops)), np.zeros_like(ops[0])) @ to_dense(v)
+    assert np.allclose(to_dense(got), dense, rtol=0.0, atol=1e-12)
+
+
+def test_kernel_reinserts_a_key_whose_partial_sum_cancels():
+    # (1,1,1) gets +1 from mode 0, -1 from mode 1 (the sum is exactly zero,
+    # so the loop drops the key) and +1 from mode 2, which inserts it again
+    space = ModeSpace(3, Statistics.BOSE, nmax=3)
+    v = FockVector(space, {(0, 1, 1): 1 + 0j, (1, 0, 1): -1 + 0j, (1, 1, 0): 1 + 0j, (2, 0, 0): 0.5 + 0j})
+    got = kernel_transformed_create(v, [1, 1, 1])
+    assert exact_items(got) == exact_items(loop_transformed_create(v, [1, 1, 1]))
+    assert list(got.amplitudes)[-1] == (1, 1, 1)
+
+
+def test_kernel_leaves_non_finite_amplitudes_to_the_loop():
+    space = ModeSpace(2, Statistics.BOSE, nmax=3)
+    v = FockVector(space, {(0, 0): complex(math.inf, 0.0), (1, 0): 1 + 0j})
+    assert kernel_transformed_create(v, [1, 1]) is None
+    assert kernel_transformed_create(FockVector(space, {(0, 0): 1 + 0j, (1, 0): np.complex128(1)}), [1, 1]) is None
+
+
+@pytest.mark.parametrize("components, nonzero, kernel_runs", [(85, 3, False), (64, 4, True)])
+def test_transformed_create_cutoff_edges(monkeypatch, components, nonzero, kernel_runs):
+    # work = components x nonzero coefficients: 255 stays on the loop, 256 does not
+    assert (components * nonzero >= fock.ARRAY_CUTOFF) is kernel_runs
+    space = ModeSpace(4, Statistics.BOSE, nmax=3)
+    rng = np.random.default_rng(components)
+    keys = list(space.basis_states())[:components]
+    v = FockVector(space, {k: complex(a) for k, a in zip(keys, rng.normal(size=components) + 1j * rng.normal(size=components))})
+    coeffs = np.zeros(4, dtype=complex)
+    coeffs[:nonzero] = rng.normal(size=nonzero) + 1j * rng.normal(size=nonzero)
+    calls = []
+    kernel = fock._transformed_create_kernel
+    monkeypatch.setattr(fock, "_transformed_create_kernel", lambda *a: calls.append(a) or kernel(*a))
+    got = transformed_create(v, coeffs)
+    assert bool(calls) is kernel_runs
+    assert exact_items(got) == exact_items(loop_transformed_create(v, coeffs))
+
+
+def test_kernel_occupations_above_int8_do_not_wrap():
+    # nmax 300: occupations up to 300 need int16 rows; the state sits at the cap
+    space = ModeSpace(2, Statistics.BOSE, nmax=300)
+    rng = np.random.default_rng(8)
+    v = FockVector(space, {(k, 300 - k): complex(rng.normal(), rng.normal()) for k in range(301)})
+    coeffs = [0.6 + 0.1j, -0.3 + 0.7j]
+    got = transformed_create(v, coeffs)
+    assert got._occupations is not None and got._occupations.dtype == np.int16
+    assert exact_items(got) == exact_items(loop_transformed_create(v, coeffs))
+    assert max(max(k) for k in got.amplitudes) == 300
+    w = got.normalized()
+    for mode in range(2):
+        with dict_path():
+            want = number_expectation(w, mode)
+        assert number_expectation(w, mode) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI], ids=["bose", "fermi"])
+def test_large_number_expectation_matches_dict_loop(statistics):
+    # particles in both species; every mode, each species and the net total
+    space = ModeSpace(8, statistics, nmax=2, species_count=2)
+    rng = np.random.default_rng(4)
+    v = vacuum(space)
+    for species in (0, 1, 0, 1):
+        v = transformed_create(v, rng.normal(size=8) + 1j * rng.normal(size=8), species)
+    v = v.normalized()
+    assert len(v.amplitudes) >= fock.ARRAY_CUTOFF
+    queries = [dict(mode=m, species=s) for m in range(8) for s in (0, 1)]
+    queries += [dict(species=0), dict(species=1), {}]
+    for query in queries:
+        got = number_expectation(v, **query)
+        with dict_path():
+            want = number_expectation(v, **query)
+        assert abs(got - want) <= 1e-13 * abs(want), query
+    assert abs(number_expectation(v)) <= 1e-13
+
+
+def test_benchmark_size_kernel_builds_equal_the_dict_loop():
+    # the 715- and 10,626-component fermion builds of a four-orbital state
+    space = ModeSpace(24, Statistics.FERMI)
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(24, 4)) + 1j * rng.normal(size=(24, 4)))
+    v = vacuum(space)
+    for orbital in q.T:
+        got = transformed_create(v, orbital)
+        assert exact_items(got) == exact_items(loop_transformed_create(v, orbital))
+        v = got
+    assert len(v.amplitudes) == 10626
+
+
+# -- caches on FockVector ------------------------------------------------------
+
+
+def cached_state():
+    """A normalized kernel-built state with its norm, occupations and weights cached."""
+    space = ModeSpace(8, Statistics.BOSE, nmax=4)
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
+    v = vacuum(space)
+    for orbital in q.T:
+        v = transformed_create(v, orbital)
+    number_expectation(v, 0)
+    assert v._occupations is not None and v._weights is not None and "norm" in vars(v)
+    return v
+
+
+def test_equality_and_repr_ignore_the_caches():
+    v = cached_state()
+    plain = FockVector(v.mode_space, dict(v.amplitudes))
+    assert v == plain and plain == v
+    assert repr(v) == repr(plain)
+    assert v != FockVector(v.mode_space, dict(create(v, 0).amplitudes))
+
+
+def test_cached_norm_is_bit_equal_to_the_sum():
+    v = cached_state()
+    want = float(np.sqrt(sum(abs(a) ** 2 for a in v.amplitudes.values())))
+    assert struct.pack("<d", v.norm) == struct.pack("<d", want)
+    assert struct.pack("<d", v.norm) == struct.pack("<d", FockVector(v.mode_space, dict(v.amplitudes)).norm)
+
+
+def test_derived_vectors_do_not_inherit_caches():
+    v = cached_state()
+    derived = [v.normalized(), v + v, 2.0 * v, v - v.normalized(), create(v, 0), annihilate(v, 1)]
+    for w in derived:
+        assert w._occupations is None and w._weights is None
+        assert "norm" not in vars(w)
+        assert w.norm == float(np.sqrt(sum(abs(a) ** 2 for a in w.amplitudes.values())))
+    u = derived[0]
+    for mode in range(8):
+        with dict_path():
+            want = number_expectation(u, mode)
+        assert number_expectation(u, mode) == pytest.approx(want, rel=1e-13)
