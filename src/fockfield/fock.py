@@ -28,7 +28,6 @@ CLI builds is below the cutoff.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -112,12 +111,15 @@ class FockVector:
 
     mode_space: ModeSpace
     amplitudes: dict = field(default_factory=dict)
+    _norm: object = field(default=None, init=False, compare=False, repr=False)
     _occupations: object = field(default=None, init=False, compare=False, repr=False)
     _weights: object = field(default=None, init=False, compare=False, repr=False)
 
-    @functools.cached_property
+    @property
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        if self._norm is None:
+            self._norm = float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        return self._norm
 
     @property
     def is_null(self) -> bool:

@@ -470,17 +470,21 @@ def test_large_number_expectation_matches_dict_loop(statistics):
     assert abs(number_expectation(v)) <= 1e-13
 
 
-def test_benchmark_size_kernel_builds_equal_the_dict_loop():
-    # the 715- and 10,626-component fermion builds of a four-orbital state
-    space = ModeSpace(24, Statistics.FERMI)
+@pytest.mark.parametrize("statistics, modes, nmax, components", [
+    (Statistics.FERMI, 24, 1, 10626),
+    (Statistics.BOSE, 32, 4, 52360),
+], ids=["fermi", "bose"])
+def test_benchmark_size_kernel_builds_equal_the_dict_loop(statistics, modes, nmax, components):
+    # the four-orbital builds of the fock_states benchmark, step by step
+    space = ModeSpace(modes, statistics, nmax=nmax)
     rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.normal(size=(24, 4)) + 1j * rng.normal(size=(24, 4)))
+    q, _ = np.linalg.qr(rng.normal(size=(modes, 4)) + 1j * rng.normal(size=(modes, 4)))
     v = vacuum(space)
     for orbital in q.T:
         got = transformed_create(v, orbital)
         assert exact_items(got) == exact_items(loop_transformed_create(v, orbital))
         v = got
-    assert len(v.amplitudes) == 10626
+    assert len(v.amplitudes) == components
 
 
 # -- caches on FockVector ------------------------------------------------------
@@ -495,7 +499,7 @@ def cached_state():
     for orbital in q.T:
         v = transformed_create(v, orbital)
     number_expectation(v, 0)
-    assert v._occupations is not None and v._weights is not None and "norm" in vars(v)
+    assert v._norm is not None and v._occupations is not None and v._weights is not None
     return v
 
 
@@ -518,8 +522,7 @@ def test_derived_vectors_do_not_inherit_caches():
     v = cached_state()
     derived = [v.normalized(), v + v, 2.0 * v, v - v.normalized(), create(v, 0), annihilate(v, 1)]
     for w in derived:
-        assert w._occupations is None and w._weights is None
-        assert "norm" not in vars(w)
+        assert w._norm is None and w._occupations is None and w._weights is None
         assert w.norm == float(np.sqrt(sum(abs(a) ** 2 for a in w.amplitudes.values())))
     u = derived[0]
     for mode in range(8):
