@@ -23,8 +23,14 @@ from fockfield.fock import (
     vacuum,
 )
 
-# numpy cast and overflow warnings from the array kernels fail these tests
-pytestmark = pytest.mark.filterwarnings("error")
+# numpy cast and overflow warnings from the array kernels fail these tests.
+# The exception is a deprecation warning that hypothesis's pytest plugin
+# raises while it reports a falsifying example: as an error it aborts the
+# whole session.
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 BOSE2 = ModeSpace(2, Statistics.BOSE, nmax=4)
 FERMI2 = ModeSpace(2, Statistics.FERMI)
