@@ -281,8 +281,8 @@ def _mapped(shape, dtype) -> np.ndarray:
     The kernels keep their large arrays out of the malloc heap: once glibc
     has raised its dynamic mmap threshold, freed numpy buffers of a few MB
     stay resident there as holes, while a mapping goes back to the system
-    when its array is freed.  This lowered the peak RSS of the fock_states
-    benchmark by about 2.5 MB.
+    when its array is freed.  On the fock_states benchmark (Linux x86-64,
+    glibc) this lowered the peak RSS by about 2.5 MB.
     """
     count = int(np.prod(shape))
     buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
