@@ -44,10 +44,8 @@ from .field import (
 )
 from .dynamics import (
     EhrenfestReport,
-    ObservableSet,
     SeamError,
     TrajectoryRecord,
-    build_observables,
     ehrenfest_residuals,
     evolve,
     gaussian_packet,

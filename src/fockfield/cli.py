@@ -10,6 +10,9 @@ Parameters may also come from an INI-style config file (one section per
 scenario, key = value); explicit flags override file values.  The default
 output directory is the FOCKFIELD_OUT_DIR environment variable, falling
 back to the working directory.
+
+The argument parser is built once per process, on the first ``main``
+call, and reused: parsing keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .fock import (
 )
 from .qinfo import (
     GENERATOR_NAME,
+    TRACE_TOL,
     MeasurementModel,
     born_distribution,
     decohere,
@@ -339,8 +343,10 @@ def run_entangle(args) -> int:
 def run_measure(args) -> int:
     p = _merged_params(args, "measure")
     weights = np.asarray(p["weights"], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    if abs(weights.sum() - 1.0) > TRACE_TOL:  # the decohered state's trace check
+        raise ValueError(f"weights must sum to 1 within {TRACE_TOL:g}, got {float(weights.sum())!r}")
     tau = decoherence_time(p["apparatus_energy"])
     if not np.isfinite(tau):
         raise ValueError(f"apparatus_energy must be large enough that 1/E is finite, got {p['apparatus_energy']!r}")
@@ -534,6 +540,17 @@ def run_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
+SCENARIOS = {
+    "fock-check": "ladder-algebra residual sweep",
+    "wick": "normal-order a ladder-operator expression",
+    "causality": "spacelike commutator sweep",
+    "wavepacket": "chirped-Gaussian trajectory",
+    "entangle": "two-term entangled pair report",
+    "measure": "premeasure, decohere, and sample outcomes",
+    "verify": "reduced-scale invariant suite",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockfield",
@@ -542,17 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fockfield {__version__}")
     sub = parser.add_subparsers(dest="scenario", metavar="scenario")
     commands = {}
-    for scenario, func, help_text in (
-        ("fock-check", run_fock_check, "ladder-algebra residual sweep"),
-        ("wick", run_wick, "normal-order a ladder-operator expression"),
-        ("causality", run_causality, "spacelike commutator sweep"),
-        ("wavepacket", run_wavepacket, "chirped-Gaussian trajectory"),
-        ("entangle", run_entangle, "two-term entangled pair report"),
-        ("measure", run_measure, "premeasure, decohere, and sample outcomes"),
-        ("verify", run_verify, "reduced-scale invariant suite"),
-    ):
+    for scenario, help_text in SCENARIOS.items():
         p = commands[scenario] = sub.add_parser(scenario, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--out-dir", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
         p.add_argument("--config", default=None, help="INI config file with one section per scenario")
         for name, (caster, _, text) in PARAMETERS.get(scenario, {}).items():
@@ -569,14 +577,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.scenario is None:
         parser.print_help()
         return 2
+    # Resolved by name on each call rather than stored in the cached parser,
+    # so a runner replaced on the module (a tracer, a test double) is the one that runs.
+    run = globals()["run_" + args.scenario.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except InvariantViolation as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

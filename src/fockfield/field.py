@@ -172,6 +172,18 @@ def from_momentum(g: MomentumAmplitude) -> WaveAmplitude:
     return WaveAmplitude(f, lat)
 
 
+def _from_momentum_rows(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """from_momentum applied to each row of a (rows × M) array, in the same
+    float operations: the shift signs, the ifftshift half-swap (M is even)
+    and the inverse FFT, here along the rows."""
+    h = lattice.num_sites // 2
+    signs = _shift_signs(lattice)
+    swapped = np.empty_like(values)
+    np.multiply(signs[h:], values[:, h:], out=swapped[:, :h])
+    np.multiply(signs[:h], values[:, :h], out=swapped[:, h:])
+    return np.fft.ifft(swapped, axis=1) * np.sqrt(lattice.num_sites)
+
+
 def site_mode_space(lattice: LatticeSpec, statistics=Statistics.BOSE, nmax: int = 8) -> ModeSpace:
     """One ladder mode per lattice site."""
     return ModeSpace(lattice.num_sites, statistics, nmax=nmax)

@@ -7,7 +7,8 @@ premeasurement entangles the system with an apparatus pointer basis,
 decoherence projects the pure density matrix onto its pointer-diagonal
 blocks (the ħ/E_A timescale is reported, not simulated), and outcome
 sampling draws classical frequencies from the surviving diagonal with a
-seeded PCG64 generator.
+seeded PCG64 generator.  A decohered state keeps its pointer columns; the
+dense matrix over the product space is built only when asked for.
 """
 
 from __future__ import annotations
@@ -35,41 +36,91 @@ class BipartiteState:
             raise ValueError("amplitudes must be a 2-D matrix")
         n = np.linalg.norm(self.amplitudes)
         if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"state must be normalized (norm = {n!r})")
+            raise ValueError(f"state must be normalized (norm = {float(n)!r})")
 
     @property
     def dims(self):
         return self.amplitudes.shape
 
 
-@dataclass
+TRACE_TOL = 1e-10
+
+
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix.
 
-    rho: np.ndarray
+    ``DensityMatrix(rho)`` checks a dense matrix.  ``decohere`` instead
+    keeps the pointer columns c (d_A × d_B): ρ = Σ_b |c_b⟩⟨c_b|, where
+    column b fills the rows a·d_B + b of the flattened product space.  A
+    sum of rank-1 projector blocks is Hermitian and positive semidefinite
+    by construction, so of the three checks only the unit trace Σ|c|²
+    runs on that form.  ``rho`` is built from the columns on first access
+    and cached.
+    """
 
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        if self.rho.ndim != 2 or self.rho.shape[0] != self.rho.shape[1]:
+    def __init__(self, rho):
+        rho = np.asarray(rho, dtype=complex)
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("rho must be square")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-10:
+        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
             raise ValueError("rho must be Hermitian")
-        tr = np.trace(self.rho).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"rho must have unit trace (trace = {tr!r})")
-        if np.linalg.eigvalsh(self.rho).min() < -1e-10:
+        _check_unit_trace(np.trace(rho).real)
+        if np.linalg.eigvalsh(rho).min() < -1e-10:
             raise ValueError("rho must be positive semidefinite")
+        self._rho = rho
+        self._columns = None
+
+    @classmethod
+    def _from_pointer_columns(cls, columns: np.ndarray) -> "DensityMatrix":
+        state = cls.__new__(cls)
+        state._rho = None
+        state._columns = columns
+        _check_unit_trace(np.sum(state.diagonal()))
+        return state
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            c = self._columns
+            d_a, d_b = c.shape
+            rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
+            for b in range(d_b):
+                col = c[:, b]
+                idx = np.arange(d_a) * d_b + b
+                rho[np.ix_(idx, idx)] = np.outer(col, col.conj())
+            self._rho = rho
+        return self._rho
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self._rho.shape[0] if self._columns is None else self._columns.size
 
     @property
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
 
     def diagonal(self) -> np.ndarray:
-        return np.real(np.diag(self.rho)).copy()
+        if self._columns is not None:
+            c = self._columns
+            return (c * c.conj()).real.ravel()
+        return np.real(np.diag(self._rho)).copy()
+
+    def _max_coherence(self) -> float:
+        """Largest |ρ_ij|, i ≠ j.  In the column form only a pointer block
+        holds coherences, and its largest is the product of the column's
+        two largest |c|."""
+        if self._columns is None:
+            off = self._rho - np.diag(np.diag(self._rho))
+            return float(np.max(np.abs(off)))
+        if self._columns.shape[0] < 2:
+            return 0.0
+        top = np.sort(np.abs(self._columns), axis=0)[-2:]
+        return float(np.max(top[0] * top[1]))
+
+
+def _check_unit_trace(trace) -> None:
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"rho must have unit trace (trace = {float(trace)!r})")
 
 
 @dataclass(frozen=True)
@@ -87,7 +138,7 @@ class MeasurementModel:
             raise ValueError("apparatus energy must be positive")
         total = sum(abs(a) ** 2 for a in self.amplitudes)
         if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"amplitudes must be normalized (Σ|f|² = {total!r})")
+            raise ValueError(f"amplitudes must be normalized (Σ|f|² = {float(total)!r})")
 
 
 def born_distribution(amplitudes) -> np.ndarray:
@@ -175,10 +226,11 @@ def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
     Off-diagonal blocks between distinct pointer states are zeroed
     exactly, leaving Σ_λ |f(λ)|² P_λ for a premeasured state, with P_λ the
     projector on φ_λ ⊗ pointer_λ.  The result lives on the full product
-    space, flattened row-major (a·d_B + b).
+    space, flattened row-major (a·d_B + b), and is held as its pointer
+    columns: the amplitudes in the pointer basis, column b for pointer b.
     """
     amp = state.amplitudes
-    d_a, d_b = amp.shape
+    d_b = amp.shape[1]
     if pointer_basis is not None:
         pointer_basis = np.asarray(pointer_basis, dtype=complex)
         if pointer_basis.shape != (d_b, d_b):
@@ -186,13 +238,7 @@ def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
         if np.max(np.abs(pointer_basis.conj().T @ pointer_basis - np.eye(d_b))) > 1e-10:
             raise ValueError("pointer basis must be unitary")
         amp = amp @ pointer_basis.conj()
-    rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for b in range(d_b):
-        col = amp[:, b]
-        block = np.outer(col, col.conj())
-        idx = np.arange(d_a) * d_b + b
-        rho[np.ix_(idx, idx)] = block
-    return DensityMatrix(rho)
+    return DensityMatrix._from_pointer_columns(amp.copy())
 
 
 def decoherence_time(apparatus_energy: float) -> float:
@@ -212,8 +258,7 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    off = rho.rho - np.diag(np.diag(rho.rho))
-    if np.max(np.abs(off)) > 1e-12:
+    if rho._max_coherence() > 1e-12:
         raise ValueError("density matrix has coherences; decohere before sampling")
     probs = np.clip(rho.diagonal(), 0.0, None)
     probs = probs / probs.sum()

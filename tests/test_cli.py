@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from fockfield import artifacts
-from fockfield.cli import PARAMETERS, _occupations_at, main
+from fockfield import artifacts, cli
+from fockfield.cli import PARAMETERS, SCENARIOS, _occupations_at, build_parser, main
 from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
 from fockfield.fock import ModeSpace, Statistics
 from fockfield.wick import MAX_TERMS
@@ -304,7 +309,8 @@ PARAMETER_CASES = [
 
 def assert_rejected(out_dir, err, name):
     assert err.startswith(f"error: {name} must"), err
-    assert "numpy" not in err and "RuntimeWarning" not in err and "Traceback" not in err
+    assert "numpy" not in err and "np.float64" not in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
@@ -348,6 +354,8 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     (["causality", "--dts", "", "--separations", "1"], "dts"),
     (["causality", "--cone-margin", "-5"], "cone_margin"),
     (["measure", "--apparatus-energy", "1e-320"], "apparatus_energy"),
+    (["measure", "--weights", "0.5,0.500000005"], "weights"),
+    (["measure", "--weights", "0.5,0.49999999"], "weights"),
 ])
 def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -411,3 +419,92 @@ def test_causality_mass_whose_square_underflows_equals_massless(tmp_path):
         assert run(["causality", "--out-dir", str(tmp_path / sub), "--M", "64", "--mass", mass]) == 0
         assert json.loads(read(tmp_path / sub / "causality.meta.json"))["k0_excluded"] is True
     assert read(tmp_path / "tiny" / "causality.csv") == read(tmp_path / "zero" / "causality.csv")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights", ["0.5,0.500000005", "0.5,0.49999999"])
+def test_measure_weights_outside_the_trace_tolerance_from_config_exit_2(tmp_path, capsys, weights):
+    # off by more than the decohered state's 1e-10 trace tolerance
+    config = tmp_path / "run.ini"
+    config.write_text(f"[measure]\nweights = {weights}\n")
+    assert run(["measure", "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    assert_rejected(tmp_path / "out", capsys.readouterr().err, "weights")
+
+
+# -- one parser per process: repeated in-process calls leak no state
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def call_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def call_fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "fockfield.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def written_files(directory):
+    files = {}
+    for path in sorted(directory.glob("*")) if directory.exists() else ():
+        text = path.read_text()
+        if path.name.endswith(".meta.json"):
+            meta = json.loads(text)
+            meta.pop("timestamp")
+            text = meta
+        files[path.name] = text
+    return files
+
+
+def run_steps(call, steps, root):
+    """(exit code, stdout, stderr, files written) of each step, in order."""
+    results = []
+    for i, argv in enumerate(steps):
+        out_dir = root / str(i)
+        rc, out, err = call([*argv, "--out-dir", str(out_dir)] if argv[0] in SCENARIOS else argv)
+        results.append((rc, out.replace(str(out_dir), "<OUT>"), err, written_files(out_dir)))
+    return results
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # help wrapping, in both runs
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[measure]\nweights = 0.2, 0.3, 0.5\nn_samples = 2000\n"
+        "[wavepacket]\nM = 128\nsigma0 = 4\ntimes = 0, 0.5, 2\n"
+        "[causality]\nM = 32\ndts = 0, 0.5\nseparations = 2, 3\n"
+    )
+    steps = [
+        ["measure", "--config", str(config), "--seed", "7"],
+        ["wavepacket", "--config", str(config), "--chirp", "-1"],
+        ["causality", "--config", str(config), "--mass", "0.5"],
+        ["wavepacket", "--M", "many"],
+        ["--help"],
+        ["measure", "--help"],
+        ["--version"],
+        ["measure"],
+        ["wavepacket", "--config", str(config)],
+    ]
+    reused = run_steps(call_in_process, steps, tmp_path / "in_process")
+    assert cli._parser.cache_info().misses == 1
+    assert [r[0] for r in reused] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert reused == run_steps(call_fresh_process, steps, tmp_path / "fresh")
+
+
+def test_help_of_the_reused_parser_equals_a_fresh_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv in [["--help"]] + [[scenario, "--help"] for scenario in SCENARIOS]:
+        reused = call_in_process(argv)
+        with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert reused == (exc.value.code, out.getvalue(), ""), argv
+        assert reused[0] == 0 and reused[1].startswith("usage: fockfield")

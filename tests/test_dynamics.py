@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynamics_oracles import build_observables, trajectory_per_sample
+from fockfield import dynamics
 from fockfield.dynamics import (
     SeamError,
-    build_observables,
     ehrenfest_residuals,
     evolve,
     gaussian_packet,
     trajectory,
 )
 from fockfield.field import Dispersion, LatticeSpec, WaveAmplitude, to_momentum
+
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 LAT = LatticeSpec(256, 1.0, 1.0)
 
@@ -197,3 +205,112 @@ def test_norm_conserved_along_trajectory():
     f = gaussian_packet(LAT, 10.0, 0.3, 8.0, chirp=0.5)
     for t in (0.0, 7.0, 31.0):
         assert abs(evolve(f, t, LAT).norm - 1.0) <= 1e-12
+
+
+# -- blocked trajectory against the per-sample oracle, bit for bit
+
+
+def outcome(fn, packet, times, lattice):
+    """Every record field as (type, hex bits), or the SeamError text."""
+    try:
+        records = fn(packet, times, lattice)
+    except SeamError as err:
+        return ("SeamError", str(err))
+    return [tuple((type(v), float(v).hex()) for v in r.row()) for r in records]
+
+
+def assert_trajectory_matches_oracle(packet, times, lattice):
+    got = outcome(trajectory, packet, times, lattice)
+    assert got == outcome(trajectory_per_sample, packet, times, lattice)
+    return got
+
+
+VERIFY_PACKET = (LatticeSpec(64, 1.0, 1.0), dict(x0=0.0, p0=0.0, sigma0=3.0, chirp=1.0))
+BENCHMARK_PACKETS = [  # the wavepacket commands of perfbench/cli_scenarios.py
+    (LatticeSpec(256, 1.0, 1.0), dict(x0=0.0, p0=0.0, sigma0=8.0, chirp=0.0)),
+    (LatticeSpec(256, 1.0, 1.0), dict(x0=0.0, p0=0.0, sigma0=8.0, chirp=1.0)),
+    (LatticeSpec(256, 1.0, 1.0), dict(x0=-10.0, p0=0.0, sigma0=8.0, chirp=-0.5)),
+    (LatticeSpec(256, 1.0, 1.0), dict(x0=-20.0, p0=0.2, sigma0=8.0, chirp=0.0)),
+    (LatticeSpec(256, 1.0, 1.0), dict(x0=0.0, p0=0.0, sigma0=6.0, chirp=0.5)),
+]
+
+
+@pytest.mark.parametrize("index", range(len(BENCHMARK_PACKETS)))
+def test_cli_wavepackets_equal_per_sample_bitwise(index):
+    lattice, kw = BENCHMARK_PACKETS[index]
+    times = [k * 0.5 for k in range(101)]  # the wavepacket scenario's default
+    assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times, lattice)
+
+
+def test_large_cli_wavepacket_equals_per_sample_bitwise():
+    lattice = LatticeSpec(4096, 1.0, 1.0)
+    packet = gaussian_packet(lattice, 0.0, 0.0, 40.0, 1.0)
+    assert_trajectory_matches_oracle(packet, [k * 0.1 for k in range(501)], lattice)
+
+
+@pytest.mark.parametrize("times", [
+    [k * 0.25 for k in range(49)],  # verify's coarse run
+    [k * 1e-3 for k in range(51)],  # verify's fine run
+    [],
+    [2.5],
+    [3.0, -1.0, 3.0, 0.5, -0.0],
+])
+def test_verify_packet_equals_per_sample_bitwise(times):
+    lattice, kw = VERIFY_PACKET
+    assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times, lattice)
+
+
+def test_seam_error_names_the_first_bad_time_in_a_later_block():
+    lattice, kw = VERIFY_PACKET
+    rows = dynamics._BLOCK_ELEMENTS // lattice.num_sites
+    times = [0.0] * (rows + 3) + [4000.0, 3000.0]
+    got = assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times, lattice)
+    assert got == ("SeamError", "packet within 8 widths of the seam at t=4000")
+
+
+@st.composite
+def trajectory_cases(draw):
+    at_block_edge = draw(st.booleans())
+    # a block edge needs rows + 1 samples, so keep those cases at M >= 256
+    M = 2 * draw(st.integers(128 if at_block_edge else 1, 2048))
+    lattice = LatticeSpec(M, draw(st.sampled_from((0.5, 1.0, 1.5))), draw(st.floats(0.25, 4.0)))
+    length = lattice.length
+    x0 = draw(st.floats(-0.3, 0.3)) * length
+    sigma = draw(st.floats(0.01, 0.1)) * length
+    chirp = draw(st.floats(-2.0, 2.0))
+    p0 = draw(st.floats(-1.0, 1.0))
+    x = lattice.positions
+    values = np.exp(-(1 + 1j * chirp) * (x - x0) ** 2 / (4 * sigma**2) + 1j * p0 * x)
+    packet = WaveAmplitude(values / np.linalg.norm(values), lattice)
+    if at_block_edge:
+        n = dynamics._BLOCK_ELEMENTS // M + draw(st.sampled_from((-1, 0, 1)))
+    else:
+        n = draw(st.sampled_from((0, 1, 2, 7)))
+    # sampled values repeat; free floats are unsorted and of either sign
+    time = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -3.0)), st.floats(-40.0, 40.0))
+    times = draw(st.lists(time, min_size=n, max_size=n))
+    return packet, times, lattice
+
+
+@settings(max_examples=60, deadline=None)
+@given(trajectory_cases())
+def test_property_blocked_trajectory_equals_per_sample_bitwise(case):
+    assert_trajectory_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("M", [64, 256, 4096])
+def test_numpy_row_blocks_equal_per_row_calls(M):
+    # The blocked trajectory is bit-identical to the per-sample one only
+    # because numpy computes these row by row in the same order; a numpy
+    # upgrade that changes that fails here.
+    rng = np.random.default_rng(M)
+    block = rng.normal(size=(37, M)) + 1j * rng.normal(size=(37, M))
+    phases = -1j * rng.normal(size=M) ** 2 * rng.normal(size=(37, 1)) / 3.0
+    dens = np.abs(block) ** 2
+    for batched, per_row in (
+        (np.exp(phases), [np.exp(row) for row in phases]),
+        (np.fft.ifft(block, axis=1), [np.fft.ifft(row) for row in block]),
+        (np.sum(dens, axis=1), [np.sum(row) for row in dens]),
+        (np.sum(block, axis=1), [np.sum(row) for row in block]),
+    ):
+        assert np.asarray(batched).tobytes() == np.asarray(per_row).tobytes()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fockfield.fock import ModeSpace, Statistics, two_particle_symmetrized
+from qinfo_oracles import decohere_dense
 from fockfield.qinfo import (
     BipartiteState,
     DensityMatrix,
@@ -22,6 +23,11 @@ from fockfield.qinfo import (
     schmidt,
     two_particle_slot_state,
 )
+
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
@@ -303,8 +309,82 @@ def test_slot_state_never_separable_for_distinct_profiles():
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(2))  # trace 2
+    with pytest.raises(ValueError, match=r"^rho must have unit trace \(trace = 2\.0\)$"):
+        DensityMatrix(np.eye(2))
+
+
+def test_validation_messages_print_plain_floats():
+    for make in (
+        lambda: DensityMatrix(np.eye(2) * 0.500000005),
+        lambda: BipartiteState(np.eye(2)),
+        lambda: MeasurementModel((0, 1), tuple(np.sqrt([0.5, 0.6])), 1.0),
+    ):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert "np." not in str(exc.value)
+
+
+# -- pointer columns against the dense oracle, bit for bit
+
+
+def rotated_basis(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def float_bits(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_decohere_equals_dense_oracle_bitwise(rotate):
+    rng = np.random.default_rng(41)
+    for d_a, d_b in ((1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (5, 3)):
+        state = random_bipartite(rng, d_a, d_b)
+        basis = rotated_basis(rng, d_b) if rotate else None
+        got, want = decohere(state, basis), decohere_dense(state, basis)
+        assert got.dim == want.dim == d_a * d_b
+        assert got.diagonal().tobytes() == want.diagonal().tobytes()
+        assert float_bits(got.purity) == float_bits(want.purity)
+        assert got.rho.tobytes() == want.rho.tobytes()
+
+
+def test_decohere_of_a_premeasured_state_equals_dense_oracle_bitwise():
+    rng = np.random.default_rng(43)
+    weights = rng.integers(1, 10, size=30).astype(float)
+    model = MeasurementModel(tuple(range(30)), tuple(np.sqrt(weights / weights.sum())), 1e6)
+    got, want = decohere(premeasure(model)), decohere_dense(premeasure(model))
+    assert got.diagonal().tobytes() == want.diagonal().tobytes()
+    for seed in range(5):
+        assert np.array_equal(sample_outcomes(got, 10**5, seed), sample_outcomes(want, 10**5, seed))
+    assert float_bits(got.purity) == float_bits(want.purity)
+    assert got.rho.tobytes() == want.rho.tobytes()
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_sample_outcomes_accepts_and_rejects_like_the_dense_oracle(rotate):
+    # a general state keeps coherences inside a pointer block; a product
+    # state with the pointer basis has none
+    rng = np.random.default_rng(47)
+    states = [random_bipartite(rng, 3, 2), BipartiteState(np.outer([1.0, 0.0], [0.6, 0.8]))]
+    states.append(BipartiteState(np.outer([0.0, 0.6, 0.8], [1.0, 0.0])))
+    states.append(BipartiteState(np.outer([1.0, 1e-13, 0.0], [1.0, 0.0]) / np.hypot(1.0, 1e-13)))
+    for state in states:
+        basis = rotated_basis(rng, state.dims[1]) if rotate else None
+        results = []
+        for make in (decohere, decohere_dense):
+            try:
+                results.append(sample_outcomes(make(state, basis), 1000, seed=3).tolist())
+            except ValueError as err:
+                results.append(str(err))
+        assert results[0] == results[1]
+
+
+def test_decohere_result_does_not_follow_later_changes_to_the_state():
+    state = BipartiteState(np.eye(2) / np.sqrt(2))
+    rho = decohere(state)
+    before = rho.diagonal()
+    state.amplitudes[0, 0] = 1.0
+    assert np.array_equal(rho.diagonal(), before)
 
 
 @settings(max_examples=25, deadline=None)
