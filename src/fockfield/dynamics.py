@@ -28,8 +28,8 @@ from .field import (
     LatticeSpec,
     MomentumAmplitude,
     WaveAmplitude,
-    _from_momentum_rows,
     from_momentum,
+    from_momentum_values,
     to_momentum,
 )
 
@@ -123,8 +123,8 @@ def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):
     for lo in range(0, len(ts), rows):
         block = ts[lo:lo + rows]
         gt = g0 * np.exp(-1j * p**2 * block[:, None] / (2 * lattice.mass))
-        ft = _from_momentum_rows(gt, lattice)
-        pf = _from_momentum_rows(p * gt, lattice)
+        ft = from_momentum_values(gt, lattice)
+        pf = from_momentum_values(p * gt, lattice)
         fdens = np.abs(ft) ** 2
         gdens = np.abs(gt) ** 2
         mean_x = np.sum(x * fdens, axis=1).tolist()

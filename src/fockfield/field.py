@@ -166,22 +166,15 @@ def to_momentum(f: WaveAmplitude) -> MomentumAmplitude:
 
 def from_momentum(g: MomentumAmplitude) -> WaveAmplitude:
     """Inverse of to_momentum; the pair round-trips to 1e-12."""
-    lat = g.lattice
-    M = lat.num_sites
-    f = np.fft.ifft(np.fft.ifftshift(_shift_signs(lat) * g.values)) * np.sqrt(M)
-    return WaveAmplitude(f, lat)
+    return WaveAmplitude(from_momentum_values(g.values, g.lattice), g.lattice)
 
 
-def _from_momentum_rows(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """from_momentum applied to each row of a (rows × M) array, in the same
-    float operations: the shift signs, the ifftshift half-swap (M is even)
-    and the inverse FFT, here along the rows."""
-    h = lattice.num_sites // 2
-    signs = _shift_signs(lattice)
-    swapped = np.empty_like(values)
-    np.multiply(signs[h:], values[:, h:], out=swapped[:, :h])
-    np.multiply(signs[:h], values[:, :h], out=swapped[:, h:])
-    return np.fft.ifft(swapped, axis=1) * np.sqrt(lattice.num_sites)
+def from_momentum_values(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """The inverse transform of from_momentum along the last axis, so a
+    (rows × M) array is transformed row by row, each row in the same float
+    operations as a single amplitude."""
+    shifted = np.fft.ifftshift(_shift_signs(lattice) * values, axes=-1)
+    return np.fft.ifft(shifted, axis=-1) * np.sqrt(lattice.num_sites)
 
 
 def site_mode_space(lattice: LatticeSpec, statistics=Statistics.BOSE, nmax: int = 8) -> ModeSpace:

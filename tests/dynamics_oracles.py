@@ -1,8 +1,8 @@
 """Reference implementations for the dynamics layer (test use only).
 
-``trajectory_per_sample`` evolves one sample time at a time through
-``from_momentum``; ``fockfield.dynamics.trajectory`` must equal it bit for
-bit.  ``build_observables`` assembles dense X, P, H, C matrices, which
+``trajectory_per_sample`` evolves one sample time at a time, each through
+its own 1-D inverse FFT; ``fockfield.dynamics.trajectory`` must equal it bit
+for bit.  ``build_observables`` assembles dense X, P, H, C matrices, which
 grow as M² and serve the operator identities in the tests.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fockfield.dynamics import SeamError, TrajectoryRecord
-from fockfield.field import Dispersion, LatticeSpec, MomentumAmplitude, from_momentum, to_momentum
+from fockfield.field import Dispersion, LatticeSpec, to_momentum
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,12 @@ def build_observables(lattice: LatticeSpec) -> ObservableSet:
     return ObservableSet(X=X, P=P, H=H, C=C)
 
 
+def _position_values(gt, lattice):
+    """f(x) of one momentum amplitude: shift signs, ifftshift, 1-D inverse FFT."""
+    signs = np.where(lattice.wavenumbers % 2 == 0, 1.0, -1.0)
+    return np.fft.ifft(np.fft.ifftshift(signs * gt)) * np.sqrt(lattice.num_sites)
+
+
 def _expectations(ft, gt, lattice, t):
     x = lattice.positions
     p = lattice.momenta
@@ -55,7 +61,7 @@ def _expectations(ft, gt, lattice, t):
     mean_p2 = float(np.sum(p**2 * gdens))
     mean_h = mean_p2 / (2 * lattice.mass)
     # <C> = Re <X f, P f>, with P applied spectrally
-    pf = from_momentum(MomentumAmplitude(p * gt, lattice)).values
+    pf = _position_values(p * gt, lattice)
     mean_c = float(np.real(np.vdot(x * ft, pf)))
     return TrajectoryRecord(
         t=float(t),
@@ -79,7 +85,7 @@ def trajectory_per_sample(f0, times, lattice):
     records = []
     for t in times:
         gt = g0 * np.exp(-1j * p**2 * t / (2 * lattice.mass))
-        ft = from_momentum(MomentumAmplitude(gt, lattice)).values
+        ft = _position_values(gt, lattice)
         rec = _expectations(ft, gt, lattice, t)
         if half - abs(rec.mean_x) < 8 * rec.dx:
             raise SeamError(f"packet within 8 widths of the seam at t={t:g}")

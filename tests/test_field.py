@@ -8,12 +8,14 @@ from fockfield.field import (
     Dispersion,
     GeneralStateSpec,
     LatticeSpec,
+    MomentumAmplitude,
     WaveAmplitude,
     coherent_state,
     commutator_sweep,
     default_spacelike_grid,
     field_expectation,
     from_momentum,
+    from_momentum_values,
     identity_resolution_residual,
     number_density,
     overlap,
@@ -98,6 +100,17 @@ def test_transform_roundtrip_and_parseval():
     back = from_momentum(g)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
     assert g.norm == pytest.approx(f.norm, abs=1e-12)
+
+
+def test_from_momentum_values_transforms_each_row_like_from_momentum():
+    rng = np.random.default_rng(2)
+    lat = LatticeSpec(64, 0.5, 1.0)
+    block = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
+    rows = from_momentum_values(block, lat)
+    assert rows.shape == block.shape
+    for row, g in zip(rows, block):
+        assert np.array_equal(row, from_momentum(MomentumAmplitude(g, lat)).values)
+        assert np.max(np.abs(to_momentum(WaveAmplitude(row, lat)).values - g)) < 1e-12
 
 
 def test_point_source_is_momentum_flat():
