@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
+    _BLOCK_ELEMENTS,
     LatticeSpec,
     MomentumAmplitude,
     WaveAmplitude,
@@ -96,11 +97,6 @@ def evolve(f: WaveAmplitude, t: float, lattice: LatticeSpec) -> WaveAmplitude:
     g = to_momentum(f)
     phases = np.exp(-1j * lattice.momenta**2 * t / (2 * lattice.mass))
     return from_momentum(MomentumAmplitude(g.values * phases, lattice))
-
-
-# Sample times per block: rows × sites stays near 2**17 complex values
-# (2 MiB per block array) at any M, as in field.commutator_sweep.
-_BLOCK_ELEMENTS = 1 << 17
 
 
 def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .fock import (
+    NORM_TOL,
     FockVector,
     ModeSpace,
     Statistics,
@@ -32,7 +33,9 @@ from .fock import (
     vacuum,
 )
 
-NORM_TOL = 1e-8
+# Elements per block of a (rows × modes) pass: 2**17 complex128 values is
+# 2 MiB.  commutator_sweep and dynamics.trajectory both block by it.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 class Dispersion(Enum):
@@ -285,6 +288,15 @@ def identity_resolution_residual(v: FockVector, x: int) -> float:
     return (w - v).norm
 
 
+def _commutator_modes(lattice: LatticeSpec):
+    """(ω, p) of the modes in the commutator sum: those with ω > 0."""
+    if lattice.dispersion is not Dispersion.RELATIVISTIC:
+        raise ValueError("commutator mode sum requires the relativistic dispersion")
+    w = lattice.frequencies
+    keep = w > 0
+    return w[keep], lattice.momenta[keep]
+
+
 def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticles: bool = True) -> complex:
     """c-number commutator [Φ(t,x), Φ†(t′,y)] of the free charged scalar.
 
@@ -299,13 +311,7 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
     when m = 0 or when m² underflows to 0.  Callers that record artifacts
     should flag this in their metadata.
     """
-    if lattice.dispersion is not Dispersion.RELATIVISTIC:
-        raise ValueError("commutator mode sum requires the relativistic dispersion")
-    w = lattice.frequencies
-    p = lattice.momenta
-    keep = w > 0
-    if not np.all(keep):
-        w, p = w[keep], p[keep]
+    w, p = _commutator_modes(lattice)
     theta = p * dx - w * dt
     summand = np.exp(1j * theta)
     if include_antiparticles:
@@ -313,9 +319,8 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
     return complex(np.sum(summand / (2.0 * w)) / lattice.num_sites)
 
 
-def default_spacelike_grid(lattice: LatticeSpec, extent: float | None = None,
-                           step: float | None = None, cone_margin: float = 3.0):
-    """Sample points (dt, dx) with |dx| > |dt|, both ≤ extent.
+def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0):
+    """Sample points (dt, dx) with |dx| > |dt|, on multiples of Δx up to MΔx/4.
 
     Two families: the equal-time axis dt = 0 (where the cancellation is
     an exact lattice symmetry) and the wedge dx ≥ dt + cone_margin.  The
@@ -324,10 +329,8 @@ def default_spacelike_grid(lattice: LatticeSpec, extent: float | None = None,
     1e-12 of the cone itself are left out at any margin: the two arange
     grids can differ by an ulp where dt == dx.
     """
-    if extent is None:
-        extent = lattice.length / 4.0
-    if step is None:
-        step = lattice.spacing
+    extent = lattice.length / 4.0
+    step = lattice.spacing
     dts = np.arange(0.0, extent + step / 2, step)
     dxs = np.arange(step, extent + step / 2, step)
     pairs = [(0.0, float(dx)) for dx in dxs]
@@ -338,10 +341,6 @@ def default_spacelike_grid(lattice: LatticeSpec, extent: float | None = None,
         if dx >= dt + cone_margin - 1e-12 and dx - dt > 1e-12
     ]
     return pairs
-
-
-# Elements per (pairs × modes) block: 2**17 complex128 values is 2 MiB.
-_SWEEP_CHUNK_ELEMENTS = 1 << 17
 
 
 def commutator_sweep(lattice: LatticeSpec, pairs):
@@ -355,19 +354,13 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     Every value is exactly equal (==) to the matching pauli_jordan call,
     so artifacts built from either are byte-identical.
     """
-    if lattice.dispersion is not Dispersion.RELATIVISTIC:
-        raise ValueError("commutator mode sum requires the relativistic dispersion")
-    w = lattice.frequencies
-    p = lattice.momenta
-    keep = w > 0
-    if not np.all(keep):
-        w, p = w[keep], p[keep]
+    w, p = _commutator_modes(lattice)
     M = lattice.num_sites
     two_w = 2.0 * w
     grid = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
     with_anti = np.empty(len(grid), dtype=complex)
     without = np.empty(len(grid), dtype=complex)
-    rows = max(1, _SWEEP_CHUNK_ELEMENTS // len(w))
+    rows = max(1, _BLOCK_ELEMENTS // len(w))
     for lo in range(0, len(grid), rows):
         dt = grid[lo:lo + rows, 0:1]
         dx = grid[lo:lo + rows, 1:2]

@@ -36,8 +36,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import faults
-
 NORM_TOL = 1e-8
 
 # Work (components, times nonzero coefficients for transformed_create) from
@@ -191,10 +189,6 @@ def basis_state(mode_space: ModeSpace, occupations) -> FockVector:
 
 
 def _jw_sign(occ, slot) -> float:
-    if faults.active("fermi-sign"):
-        # deliberately wrong: dropping the alternating string breaks the
-        # anticommutation relations between distinct modes
-        return 1.0
     return -1.0 if sum(occ[:slot]) % 2 else 1.0
 
 
@@ -361,7 +355,6 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     bits = cap.bit_length()
     per_word = 64 // bits
     fermi = space.statistics is Statistics.FERMI
-    flip_signs = fermi and not faults.active("fermi-sign")
 
     # Contributions in the loop's order: mode-major, then v's order.  Each
     # is (source row, mode); its key is the source's packed row plus one in
@@ -375,7 +368,7 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     src = np.concatenate(src, out=_mapped(total, np.int32))
     mode_slots = base_slot + np.asarray(modes)
     mode_coeffs = coeffs[modes]
-    if flip_signs:
+    if fermi:
         # occupied slots up to each slot; a raisable fermion slot is empty,
         # so there this counts the slots below it
         parity = np.cumsum(occ, axis=1) % 2
@@ -384,12 +377,10 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
         """c * (amp * s) of the contributions idx, as (re, im)."""
         j = np.searchsorted(bounds, idx, side="right") - 1
         rows, slots = src[idx], mode_slots[j]
-        if not fermi:
-            s = np.sqrt(occ[rows, slots] + 1.0)
-        elif flip_signs:
+        if fermi:
             s = 1.0 - 2.0 * parity[rows, slots]
         else:
-            s = np.ones(len(rows))
+            s = np.sqrt(occ[rows, slots] + 1.0)
         u_re = amps.real[rows] * s
         u_im = amps.imag[rows] * s
         c_re, c_im = mode_coeffs.real[j], mode_coeffs.imag[j]

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, Statistics
+from .fock import NORM_TOL, FockVector, Statistics
 
-NORM_TOL = 1e-8
 GENERATOR_NAME = "numpy.random.PCG64"
 SCHMIDT_CUTOFF = 1e-12
 

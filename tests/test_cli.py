@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fockfield import artifacts, cli
+from fockfield import artifacts, cli, fock
 from fockfield.cli import PARAMETERS, SCENARIOS, _occupations_at, build_parser, main
 from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
 from fockfield.fock import ModeSpace, Statistics
@@ -160,7 +160,6 @@ def test_causality_zero_cone_margin_leaves_out_the_light_cone(tmp_path):
     assert any(float(dt) > 0 for dt, *_ in rows)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flags, name", [
     (["--dx", "nan"], "dx"),
     (["--mass", "nan"], "mass"),
@@ -272,10 +271,39 @@ def test_verify_unknown_tag_exits_2(capsys):
     assert run(["verify", "--only", "eq99"]) == 2
 
 
-def test_verify_injected_fault_fails_eq3(capsys):
-    assert run(["verify", "--inject-fault", "fermi-sign", "--only", "eq3"]) == 1
+def drop_jordan_wigner_string(monkeypatch):
+    # every fermion sign +1: distinct modes then commute instead of anticommuting
+    monkeypatch.setattr(fock, "_jw_sign", lambda occ, slot: 1.0)
+
+
+def test_verify_injected_fault_fails_eq3(capsys, monkeypatch):
+    drop_jordan_wigner_string(monkeypatch)
+    assert run(["verify", "--only", "eq3"]) == 1
     out = capsys.readouterr().out
-    assert "eq3" in out and "FAIL" in out
+    assert out.split()[:2] == ["eq3", "FAIL"]
+    assert out.endswith("failed checks: eq3\n")
+
+
+def test_fock_check_fails_without_the_jordan_wigner_string(tmp_path, capsys, monkeypatch):
+    drop_jordan_wigner_string(monkeypatch)
+    assert run(["fock-check", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ladder relation residual")
+    rows = [line.split(",") for line in read(tmp_path / "fock_check.csv").strip().splitlines()[1:]]
+    assert max(float(r[3]) for r in rows if r[0] == "fermi") > 1e-12
+    assert max(float(r[3]) for r in rows if r[0] == "bose") <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [["wick", "--expr", "bose: a(x1) a+(x2)", "--out", "wick.txt"], ["verify"]])
+def test_config_on_a_scenario_without_parameters_exits_2(tmp_path, capsys, argv):
+    config = tmp_path / "x.ini"
+    config.write_text(f"[{argv[0]}]\n")
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--config", str(config), "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --config" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_output_reproducible(capsys):
@@ -314,7 +342,6 @@ def assert_rejected(out_dir, err, name):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario, name, value", PARAMETER_CASES)
 def test_every_parameter_rejects_a_bad_flag(tmp_path, capsys, scenario, name, value):
     flag = "--" + name.replace("_", "-")
@@ -322,7 +349,6 @@ def test_every_parameter_rejects_a_bad_flag(tmp_path, capsys, scenario, name, va
     assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario, name, value", PARAMETER_CASES)
 def test_every_parameter_rejects_a_bad_config_key(tmp_path, capsys, scenario, name, value):
     config = tmp_path / "run.ini"
@@ -338,7 +364,6 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: modes: ")
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, name", [
     (["wavepacket", "--times", "5:0:1"], "times"),
     (["wavepacket", "--times", "5:0:1", "--density-out", "d.csv"], "times"),
@@ -413,7 +438,6 @@ def test_occupations_at_matches_filtered_basis_states(stats, modes, nmax):
     assert [_occupations_at(i, cap + 1, modes) for i in range(len(states))] == states
 
 
-@pytest.mark.filterwarnings("error")
 def test_causality_mass_whose_square_underflows_equals_massless(tmp_path):
     for sub, mass in (("tiny", "1e-200"), ("zero", "0")):
         assert run(["causality", "--out-dir", str(tmp_path / sub), "--M", "64", "--mass", mass]) == 0
@@ -421,7 +445,6 @@ def test_causality_mass_whose_square_underflows_equals_massless(tmp_path):
     assert read(tmp_path / "tiny" / "causality.csv") == read(tmp_path / "zero" / "causality.csv")
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("weights", ["0.5,0.500000005", "0.5,0.49999999"])
 def test_measure_weights_outside_the_trace_tolerance_from_config_exit_2(tmp_path, capsys, weights):
     # off by more than the decohered state's 1e-10 trace tolerance

@@ -14,11 +14,6 @@ from fockfield.dynamics import (
 )
 from fockfield.field import Dispersion, LatticeSpec, WaveAmplitude, to_momentum
 
-pytestmark = [
-    pytest.mark.filterwarnings("error"),
-    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
-]
-
 LAT = LatticeSpec(256, 1.0, 1.0)
 
 

@@ -389,7 +389,7 @@ def sweep_cases(draw):
     if count == "one":
         return lattice, [(draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))]
     # at least one row more than a chunk holds, whether or not k = 0 is dropped
-    n = field._SWEEP_CHUNK_ELEMENTS // (M - 1) + draw(st.integers(1, 300))
+    n = field._BLOCK_ELEMENTS // (M - 1) + draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return lattice, [(float(dt), float(dx)) for dt, dx in rng.uniform(-50.0, 50.0, size=(n, 2))]
 

@@ -24,11 +24,6 @@ from fockfield.qinfo import (
     two_particle_slot_state,
 )
 
-pytestmark = [
-    pytest.mark.filterwarnings("error"),
-    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
-]
-
 E0 = np.array([1.0, 0.0])
 E1 = np.array([0.0, 1.0])
 BELL = BipartiteState(np.eye(2) / np.sqrt(2))
