@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import os
 import sys
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import __version__, artifacts
 from .dynamics import TrajectoryRecord, ehrenfest_residuals, evolve, gaussian_packet, trajectory
 from .field import (
+    _BLOCK_ELEMENTS,
     Dispersion,
     LatticeSpec,
     WaveAmplitude,
@@ -40,10 +42,10 @@ from .field import (
     site_mode_space,
 )
 from .fock import (
+    FockVector,
     ModeSpace,
     Statistics,
     annihilate,
-    basis_state,
     create,
     inner,
     vacuum,
@@ -77,6 +79,7 @@ def _parse_float_list(text: str):
 
 
 MAX_TIME_SAMPLES = 10**6
+MAX_PAIRS = 10**6  # fock-check --pairs
 
 
 def _parse_times(text: str):
@@ -147,9 +150,12 @@ PARAMETERS = {
 def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
     """Resolve PARAMETERS[scenario]: explicit flag > config file entry > default.
 
-    Every resolved value then passes one rule, or a ValueError names it:
-    an int is >= 0, a float is finite, a list is non-empty with finite
-    entries (a None default means "not given" and is left alone).
+    A key in the scenario's config section that names none of its
+    parameters is a ValueError naming the key ([DEFAULT] keys are shared by
+    every section, so they are not checked).  Every resolved value then
+    passes one rule, or a ValueError names it: an int is >= 0, a float is
+    finite, a list is non-empty with finite entries (a None default means
+    "not given" and is left alone).
     """
     file_values = {}
     if args.config:
@@ -159,6 +165,10 @@ def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
         ini.read(args.config)
         if ini.has_section(scenario):
             file_values = dict(ini.items(scenario))
+            known = [name.lower() for name in PARAMETERS[scenario]]  # configparser lowercases option names
+            unknown = sorted(set(file_values) - set(known) - set(ini.defaults()))
+            if unknown:
+                raise ValueError(f"{', '.join(unknown)}: not a parameter of {scenario} (known: {', '.join(known)})")
     params = {}
     for name, (caster, default, _) in PARAMETERS[scenario].items():
         value = getattr(args, name)
@@ -192,6 +202,8 @@ def _out_path(args, filename: str) -> str:
 
 def run_fock_check(args) -> int:
     p = _merged_params(args, "fock-check")
+    if p["pairs"] > MAX_PAIRS:
+        raise ValueError(f"pairs must be <= {MAX_PAIRS}, got {p['pairs']!r}")
     rng = np.random.default_rng(p["seed"])
     rows = []
     worst = 0.0
@@ -213,36 +225,59 @@ def run_fock_check(args) -> int:
 def _ladder_relation_residuals(space: ModeSpace, rng, n_pairs: int) -> dict:
     """Max deviation of the three exchange relations on random basis pairs.
 
-    Each pair's state is drawn uniformly from the occupations 0..cap per
-    mode by decoding one drawn index, so nothing is enumerated.
+    A sampled pair is a basis state, drawn uniformly from the occupations
+    0..cap per mode by decoding one drawn index, and two modes (a, b), so
+    nothing is enumerated.  Each block of pairs takes one draw whose bounds
+    repeat (radix**modes, modes, modes): numpy draws each element with its
+    own bounded draw, so the values and the generator state afterwards equal
+    one scalar draw per number.  The relations then run once per (a, b), on
+    the superposition of that mode pair's distinct basis states.
     """
-    sign = -1.0 if space.statistics is Statistics.BOSE else 1.0
-    cap = space.occupation_cap - (1 if space.statistics is Statistics.BOSE else 0)
+    bose = space.statistics is Statistics.BOSE
+    sign = -1.0 if bose else 1.0
+    cap = space.occupation_cap - (1 if bose else 0)
     radix, modes = cap + 1, space.num_modes
     # modes >= 64 never fits (the fermion pass needs 2**modes) and would make the power huge
     if modes >= 64 or radix ** modes > np.iinfo(np.int64).max:
         raise ValueError(f"modes = {modes} with occupations 0..{cap} has too many basis states to index")
     worst = {"exchange": 0.0, "create-create": 0.0, "annihilate-annihilate": 0.0}
-    for _ in range(n_pairs):
-        occ = _occupations_at(int(rng.integers(radix ** modes)), radix, modes)
-        a = int(rng.integers(modes))
-        b = int(rng.integers(modes))
-        s = basis_state(space, occ)
-        w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
-        worst["exchange"] = max(worst["exchange"], (w - s).norm if a == b else w.norm)
-        if space.statistics is Statistics.BOSE and max(occ) > space.nmax - 2:
-            continue
-        w2 = create(create(s, b), a) + sign * create(create(s, a), b)
-        w3 = annihilate(annihilate(s, b), a) + sign * annihilate(annihilate(s, a), b)
-        worst["create-create"] = max(worst["create-create"], w2.norm)
-        worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], w3.norm)
+    bounds = np.array([radix ** modes, modes, modes], dtype=np.int64)
+    block = max(1, _BLOCK_ELEMENTS // (modes + 3))  # pairs: 3 draws and `modes` digits each
+    for start in range(0, n_pairs, block):
+        draws = rng.integers(0, np.tile(bounds, min(block, n_pairs - start))).reshape(-1, 3)
+        groups: dict = {}
+        for occ, a, b in zip(_occupations(draws[:, 0], radix, modes).tolist(), *draws[:, 1:].T.tolist()):
+            groups.setdefault((a, b), {})[tuple(occ)] = 1.0 + 0.0j
+        for (a, b), states in groups.items():
+            s = FockVector(space, states)
+            w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
+            worst["exchange"] = max(worst["exchange"], _pair_max(w - s if a == b else w))
+            if bose:
+                s = FockVector(space, {occ: amp for occ, amp in states.items() if max(occ) <= space.nmax - 2})
+            w2 = create(create(s, b), a) + sign * create(create(s, a), b)
+            w3 = annihilate(annihilate(s, b), a) + sign * annihilate(annihilate(s, a), b)
+            worst["create-create"] = max(worst["create-create"], _pair_max(w2))
+            worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], _pair_max(w3))
     return worst
 
 
-def _occupations_at(index: int, radix: int, modes: int) -> tuple:
-    """Entry ``index`` of itertools.product(range(radix), repeat=modes): its
-    base-``radix`` digits, most significant first."""
-    return tuple(index // radix ** (modes - 1 - j) % radix for j in range(modes))
+def _pair_max(w: FockVector) -> float:
+    """The largest single-pair residual in w, the result of one relation on
+    one (a, b) group; 0.0 for the null element.
+
+    For fixed (a, b) each operator maps distinct basis states to distinct
+    basis states, so each component of w is one pair's residual, from the
+    float operations of that pair alone; math.sqrt(abs(v) ** 2) is then
+    FockVector.norm of the one-component vector bit for bit.
+    """
+    return max((math.sqrt(abs(v) ** 2) for v in w.amplitudes.values()), default=0.0)
+
+
+def _occupations(indices: np.ndarray, radix: int, modes: int) -> np.ndarray:
+    """Row i is entry indices[i] of itertools.product(range(radix),
+    repeat=modes): its base-``radix`` digits, most significant first."""
+    powers = np.array([radix ** (modes - 1 - j) for j in range(modes)], dtype=np.int64)
+    return indices[:, None] // powers % radix
 
 
 def run_wick(args) -> int:

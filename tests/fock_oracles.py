@@ -1,11 +1,11 @@
-"""Dense brute-force oracles for the sparse Fock layer (test use only).
+"""Brute-force oracles for the sparse Fock layer (test use only).
 
-The dimension grows as (cap+1)^slots, so these are for small spaces.
+The dense ones grow as (cap+1)^slots, so they are for small spaces.
 """
 
 import numpy as np
 
-from fockfield.fock import FockVector, ModeSpace, annihilate, create
+from fockfield.fock import FockVector, ModeSpace, Statistics, annihilate, basis_state, create
 
 
 def dense_operator(mode_space: ModeSpace, kind: str, mode: int, species: int = 0) -> np.ndarray:
@@ -30,3 +30,32 @@ def to_dense(v: FockVector) -> np.ndarray:
     for occ, amp in v.amplitudes.items():
         vec[states[occ]] = amp
     return vec
+
+
+def ladder_relation_residuals_per_pair(space: ModeSpace, rng, n_pairs: int) -> dict:
+    """The ladder-relation sweep one sampled pair at a time: the oracle for
+    ``cli._ladder_relation_residuals``, with the same draws in the same order."""
+    sign = -1.0 if space.statistics is Statistics.BOSE else 1.0
+    cap = space.occupation_cap - (1 if space.statistics is Statistics.BOSE else 0)
+    radix, modes = cap + 1, space.num_modes
+    worst = {"exchange": 0.0, "create-create": 0.0, "annihilate-annihilate": 0.0}
+    for _ in range(n_pairs):
+        occ = occupations_at(int(rng.integers(radix ** modes)), radix, modes)
+        a = int(rng.integers(modes))
+        b = int(rng.integers(modes))
+        s = basis_state(space, occ)
+        w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
+        worst["exchange"] = max(worst["exchange"], (w - s).norm if a == b else w.norm)
+        if space.statistics is Statistics.BOSE and max(occ) > space.nmax - 2:
+            continue
+        w2 = create(create(s, b), a) + sign * create(create(s, a), b)
+        w3 = annihilate(annihilate(s, b), a) + sign * annihilate(annihilate(s, a), b)
+        worst["create-create"] = max(worst["create-create"], w2.norm)
+        worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], w3.norm)
+    return worst
+
+
+def occupations_at(index: int, radix: int, modes: int) -> tuple:
+    """Entry ``index`` of itertools.product(range(radix), repeat=modes): its
+    base-``radix`` digits, most significant first."""
+    return tuple(index // radix ** (modes - 1 - j) % radix for j in range(modes))

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from fockfield import artifacts, cli, fock
-from fockfield.cli import PARAMETERS, SCENARIOS, _occupations_at, build_parser, main
+from fockfield.cli import MAX_PAIRS, PARAMETERS, SCENARIOS, build_parser, main
 from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
 from fockfield.fock import ModeSpace, Statistics
 from fockfield.wick import MAX_TERMS
+
+from fock_oracles import ladder_relation_residuals_per_pair, occupations_at
 
 
 def run(args):
@@ -357,6 +359,33 @@ def test_every_parameter_rejects_a_bad_config_key(tmp_path, capsys, scenario, na
     assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
 
 
+def test_fock_check_pairs_beyond_the_limit_from_config_exit_2(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[fock-check]\npairs = {MAX_PAIRS + 1}\n")
+    assert run(["fock-check", "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert_rejected(tmp_path / "out", err, "pairs")
+    assert err == f"error: pairs must be <= {MAX_PAIRS}, got {MAX_PAIRS + 1}\n"
+
+
+def test_misspelt_config_key_names_the_key(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[fock-check]\nmodse = 6\nnmax = 3\n")
+    assert run(["fock-check", "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: modse: not a parameter of fock-check"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_without_the_scenario_section_is_legal(tmp_path):
+    # one file may serve several scenarios: only the scenario's own section is checked
+    config = tmp_path / "run.ini"
+    config.write_text("[DEFAULT]\nseed = 3\n[wavepacket]\nM = 64\n[fock-check]\npairs = 20\n")
+    assert run(["entangle", "--out-dir", str(tmp_path), "--config", str(config)]) == 0
+    assert run(["fock-check", "--out-dir", str(tmp_path), "--config", str(config)]) == 0
+    assert meta_without_timestamp(tmp_path / "fock_check.meta.json")["parameters"]["seed"] == 3
+
+
 def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     config = tmp_path / "run.ini"
     config.write_text("[fock-check]\nmodes = four\n")
@@ -381,6 +410,7 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     (["measure", "--apparatus-energy", "1e-320"], "apparatus_energy"),
     (["measure", "--weights", "0.5,0.500000005"], "weights"),
     (["measure", "--weights", "0.5,0.49999999"], "weights"),
+    (["fock-check", "--pairs", str(MAX_PAIRS + 1)], "pairs"),
 ])
 def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -435,7 +465,78 @@ def test_occupations_at_matches_filtered_basis_states(stats, modes, nmax):
     space = ModeSpace(modes, stats, nmax=nmax)
     cap = space.occupation_cap - (1 if stats is Statistics.BOSE else 0)
     states = [occ for occ in space.basis_states() if max(occ) <= cap]
-    assert [_occupations_at(i, cap + 1, modes) for i in range(len(states))] == states
+    decoded = cli._occupations(np.arange(len(states)), cap + 1, modes)
+    assert decoded.dtype == np.int64
+    assert [tuple(row) for row in decoded.tolist()] == states
+    assert [occupations_at(i, cap + 1, modes) for i in range(len(states))] == states
+
+
+def assert_sweep_equals_per_pair_oracle(stats, modes, nmaxes, pairs=(0, 1, 50, 200), seeds=(0, 1, 2)):
+    """The sweep's residuals (== on every value) and the generator state
+    after it equal the per-pair oracle's; a fermion pass follows a boson
+    pass on one generator, as in run_fock_check."""
+    passes = (Statistics.BOSE,) if stats is Statistics.BOSE else (Statistics.BOSE, Statistics.FERMI)
+    for nmax in nmaxes:
+        for n_pairs in pairs:
+            for seed in seeds:
+                rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for statistics in passes:
+                    space = ModeSpace(modes, statistics, nmax=nmax)
+                    got = cli._ladder_relation_residuals(space, rng, n_pairs)
+                    want = ladder_relation_residuals_per_pair(space, oracle_rng, n_pairs)
+                    case = (statistics, modes, nmax, n_pairs, seed)
+                    assert got == want, case
+                    assert [type(v) for v in got.values()] == [float] * 3, case
+                    assert rng.bit_generator.state == oracle_rng.bit_generator.state, case
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6, 12])
+def test_ladder_relation_sweep_equals_per_pair_oracle(stats, modes):
+    # a fermion space ignores nmax, so two values show that
+    assert_sweep_equals_per_pair_oracle(stats, modes, range(1, 9) if stats is Statistics.BOSE else (1, 8))
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6, 12])
+def test_ladder_relation_sweep_equals_per_pair_oracle_without_the_jordan_wigner_string(modes, monkeypatch):
+    # nonzero fermion residuals: each pair's norm must still match bit for bit
+    drop_jordan_wigner_string(monkeypatch)
+    assert_sweep_equals_per_pair_oracle(Statistics.FERMI, modes, (1,))
+    if modes > 1:
+        residuals = cli._ladder_relation_residuals(ModeSpace(modes, Statistics.FERMI), np.random.default_rng(0), 200)
+        assert residuals["exchange"] > 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 50])
+def test_ladder_relation_sweep_in_blocks_equals_per_pair_oracle(block, monkeypatch):
+    # block edges: more than one draw per sweep gives the same draws
+    for stats, modes in ((Statistics.BOSE, 3), (Statistics.FERMI, 5)):
+        monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", block * (modes + 3))
+        assert_sweep_equals_per_pair_oracle(stats, modes, (4,), pairs=(49, 50, 51, 200), seeds=(3,))
+
+
+class RecordingGenerator:
+    """Delegates integers() to a generator and records each draw's size."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, *args):
+        values = self.rng.integers(*args)
+        self.sizes.append(np.size(values))
+        return values
+
+
+def test_ladder_relation_sweep_arrays_are_bounded_by_the_block():
+    # the 62-mode space of the largest fock-check run: one draw per block of
+    # _BLOCK_ELEMENTS // (modes + 3) pairs, each with 3 draws and 62 digits
+    n_pairs = 4100
+    for stats in Statistics:
+        rng = RecordingGenerator(0)
+        cli._ladder_relation_residuals(ModeSpace(62, stats, nmax=1), rng, n_pairs)
+        block = cli._BLOCK_ELEMENTS // (62 + 3)
+        assert rng.sizes == [3 * block, 3 * block, 3 * (n_pairs - 2 * block)]
 
 
 def test_causality_mass_whose_square_underflows_equals_massless(tmp_path):
