@@ -204,14 +204,15 @@ def run_fock_check(args) -> int:
     p = _merged_params(args, "fock-check")
     if p["pairs"] > MAX_PAIRS:
         raise ValueError(f"pairs must be <= {MAX_PAIRS}, got {p['pairs']!r}")
-    rng = np.random.default_rng(p["seed"])
+    if p["modes"] < 1:
+        raise ValueError(f"modes must be >= 1, got {p['modes']!r}")
+    spaces = [ModeSpace(p["modes"], stats, nmax=p["nmax"]) for stats in (Statistics.BOSE, Statistics.FERMI)]
     rows = []
     worst = 0.0
-    for stats in (Statistics.BOSE, Statistics.FERMI):
-        space = ModeSpace(p["modes"], stats, nmax=p["nmax"])
-        residuals = _ladder_relation_residuals(space, rng, p["pairs"])
+    sweeps = _ladder_relation_residuals(spaces, np.random.default_rng(p["seed"]), p["pairs"])
+    for space, residuals in zip(spaces, sweeps):
         for relation, value in residuals.items():
-            rows.append((stats.value, relation, p["pairs"], value))
+            rows.append((space.statistics.value, relation, p["pairs"], value))
             worst = max(worst, value)
     path = _out_path(args, "fock_check.csv")
     artifacts.write_csv(path, ("statistics", "relation", "samples", "max_residual"), rows)
@@ -222,43 +223,54 @@ def run_fock_check(args) -> int:
     return 0
 
 
-def _ladder_relation_residuals(space: ModeSpace, rng, n_pairs: int) -> dict:
-    """Max deviation of the three exchange relations on random basis pairs.
+def _ladder_relation_residuals(spaces, rng, n_pairs: int) -> list:
+    """Max deviation of the three exchange relations on random basis pairs,
+    one dict per space, the spaces drawing from rng in turn.
 
     A sampled pair is a basis state, drawn uniformly from the occupations
     0..cap per mode by decoding one drawn index, and two modes (a, b), so
-    nothing is enumerated.  Each block of pairs takes one draw whose bounds
-    repeat (radix**modes, modes, modes): numpy draws each element with its
-    own bounded draw, so the values and the generator state afterwards equal
-    one scalar draw per number.  The relations then run once per (a, b), on
-    the superposition of that mode pair's distinct basis states.
+    nothing is enumerated.  Every space's index must fit in int64, or a
+    ValueError is raised before the first draw.  Each block of pairs takes
+    one draw whose bounds repeat (radix**modes, modes, modes): numpy draws
+    each element with its own bounded draw, so the values and the generator
+    state afterwards equal one scalar draw per number.  The relations then
+    run once per (a, b), on the superposition of that mode pair's distinct
+    basis states.
     """
-    bose = space.statistics is Statistics.BOSE
-    sign = -1.0 if bose else 1.0
-    cap = space.occupation_cap - (1 if bose else 0)
-    radix, modes = cap + 1, space.num_modes
-    # modes >= 64 never fits (the fermion pass needs 2**modes) and would make the power huge
-    if modes >= 64 or radix ** modes > np.iinfo(np.int64).max:
-        raise ValueError(f"modes = {modes} with occupations 0..{cap} has too many basis states to index")
-    worst = {"exchange": 0.0, "create-create": 0.0, "annihilate-annihilate": 0.0}
-    bounds = np.array([radix ** modes, modes, modes], dtype=np.int64)
-    block = max(1, _BLOCK_ELEMENTS // (modes + 3))  # pairs: 3 draws and `modes` digits each
-    for start in range(0, n_pairs, block):
-        draws = rng.integers(0, np.tile(bounds, min(block, n_pairs - start))).reshape(-1, 3)
-        groups: dict = {}
-        for occ, a, b in zip(_occupations(draws[:, 0], radix, modes).tolist(), *draws[:, 1:].T.tolist()):
-            groups.setdefault((a, b), {})[tuple(occ)] = 1.0 + 0.0j
-        for (a, b), states in groups.items():
-            s = FockVector(space, states)
-            w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
-            worst["exchange"] = max(worst["exchange"], _pair_max(w - s if a == b else w))
-            if bose:
-                s = FockVector(space, {occ: amp for occ, amp in states.items() if max(occ) <= space.nmax - 2})
-            w2 = create(create(s, b), a) + sign * create(create(s, a), b)
-            w3 = annihilate(annihilate(s, b), a) + sign * annihilate(annihilate(s, a), b)
-            worst["create-create"] = max(worst["create-create"], _pair_max(w2))
-            worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], _pair_max(w3))
-    return worst
+    radixes = []
+    for space in spaces:
+        # a boson is drawn below nmax, so that it can still be raised
+        cap = space.occupation_cap - (1 if space.statistics is Statistics.BOSE else 0)
+        modes = space.num_modes
+        # modes >= 64 never fits (the fermion pass needs 2**modes) and would make the power huge
+        if modes >= 64 or (cap + 1) ** modes > np.iinfo(np.int64).max:
+            raise ValueError(f"modes = {modes} with occupations 0..{cap} has too many basis states to index")
+        radixes.append(cap + 1)
+    results = []
+    for space, radix in zip(spaces, radixes):
+        bose = space.statistics is Statistics.BOSE
+        sign = -1.0 if bose else 1.0
+        modes = space.num_modes
+        worst = {"exchange": 0.0, "create-create": 0.0, "annihilate-annihilate": 0.0}
+        bounds = np.array([radix ** modes, modes, modes], dtype=np.int64)
+        block = max(1, _BLOCK_ELEMENTS // (modes + 3))  # pairs: 3 draws and `modes` digits each
+        for start in range(0, n_pairs, block):
+            draws = rng.integers(0, np.tile(bounds, min(block, n_pairs - start))).reshape(-1, 3)
+            groups: dict = {}
+            for occ, a, b in zip(_occupations(draws[:, 0], radix, modes).tolist(), *draws[:, 1:].T.tolist()):
+                groups.setdefault((a, b), {})[tuple(occ)] = 1.0 + 0.0j
+            for (a, b), states in groups.items():
+                s = FockVector(space, states)
+                w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
+                worst["exchange"] = max(worst["exchange"], _pair_max(w - s if a == b else w))
+                if bose:
+                    s = FockVector(space, {occ: amp for occ, amp in states.items() if max(occ) <= space.nmax - 2})
+                w2 = create(create(s, b), a) + sign * create(create(s, a), b)
+                w3 = annihilate(annihilate(s, b), a) + sign * annihilate(annihilate(s, a), b)
+                worst["create-create"] = max(worst["create-create"], _pair_max(w2))
+                worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], _pair_max(w3))
+        results.append(worst)
+    return results
 
 
 def _pair_max(w: FockVector) -> float:
@@ -298,11 +310,21 @@ def run_wick(args) -> int:
     return 0
 
 
+def _lattice(p: dict, dispersion: Dispersion) -> LatticeSpec:
+    """The scenario's lattice; M and dx are checked here, so that a bad
+    value is reported under its parameter name."""
+    if p["M"] < 2 or p["M"] % 2:
+        raise ValueError(f"M must be even and >= 2, got {p['M']!r}")
+    if p["dx"] <= 0:
+        raise ValueError(f"dx must be > 0, got {p['dx']!r}")
+    return LatticeSpec(p["M"], p["dx"], p["mass"], dispersion)
+
+
 def run_causality(args) -> int:
     p = _merged_params(args, "causality")
     if p["cone_margin"] < 0:  # a negative margin lets timelike points into the sweep
         raise ValueError(f"cone_margin must be >= 0, got {p['cone_margin']!r}")
-    lattice = LatticeSpec(p["M"], p["dx"], p["mass"], Dispersion.RELATIVISTIC)
+    lattice = _lattice(p, Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
     if p["dts"] is not None:
@@ -330,7 +352,7 @@ def run_causality(args) -> int:
 
 def run_wavepacket(args) -> int:
     p = _merged_params(args, "wavepacket")
-    lattice = LatticeSpec(p["M"], p["dx"], p["mass"])
+    lattice = _lattice(p, Dispersion.NONRELATIVISTIC)
     packet = gaussian_packet(lattice, p["x0"], p["p0"], p["sigma0"], p["chirp"])
     records = trajectory(packet, p["times"], lattice)
     path = _out_path(args, "wavepacket.csv")
@@ -385,6 +407,8 @@ def run_measure(args) -> int:
     tau = decoherence_time(p["apparatus_energy"])
     if not np.isfinite(tau):
         raise ValueError(f"apparatus_energy must be large enough that 1/E is finite, got {p['apparatus_energy']!r}")
+    if p["n_samples"] < 1:
+        raise ValueError(f"n_samples must be >= 1, got {p['n_samples']!r}")
     model = MeasurementModel(
         tuple(range(len(weights))), tuple(np.sqrt(weights)), p["apparatus_energy"]
     )
@@ -413,11 +437,8 @@ def run_measure(args) -> int:
 
 def _check_eq3() -> tuple:
     rng = np.random.default_rng(0)
-    worst = 0.0
-    for stats, modes in ((Statistics.BOSE, 4), (Statistics.FERMI, 8)):
-        space = ModeSpace(modes, stats, nmax=6)
-        residuals = _ladder_relation_residuals(space, rng, 200)
-        worst = max(worst, *residuals.values())
+    spaces = [ModeSpace(4, Statistics.BOSE, nmax=6), ModeSpace(8, Statistics.FERMI, nmax=6)]
+    worst = max(max(residuals.values()) for residuals in _ladder_relation_residuals(spaces, rng, 200))
     return worst <= 1e-12, f"max ladder-relation residual {worst:.2e} (tol 1e-12)"
 
 

@@ -17,9 +17,10 @@ The ``amplitudes`` dict is the stored form of every state.  Most
 operations walk it directly, which is fastest for the few-component
 states of the CLI.  Two operations switch to numpy array kernels once the
 work reaches ``ARRAY_CUTOFF``: ``transformed_create`` (input components ×
-nonzero coefficients), which merges the contributions of all modes in one
-pass, and ``number_expectation`` (components), which reads an occupation
-matrix and an |amplitude|² vector cached on the state.  The
+nonzero coefficients), which adds the modes' contributions in one numpy
+round per mode, in the loop's order, and ``number_expectation``
+(components), which reads an occupation matrix and an |amplitude|² vector
+cached on the state.  The
 ``transformed_create`` kernel returns the same dict as the loop, in keys,
 insertion order and amplitude bits; the ``number_expectation`` kernel
 sums pairwise, so it agrees with the loop to rounding.  Every state the
@@ -43,10 +44,8 @@ NORM_TOL = 1e-8
 ARRAY_CUTOFF = 256
 
 # Rows per chunk when the transformed_create kernel turns its arrays into
-# dict entries, and keys per block of its summing rounds; both bound the
-# kernel's short-lived temporaries.
+# dict entries; bounds the kernel's short-lived temporaries.
 _DICT_CHUNK = 4096
-_ROUND_BLOCK = 1 << 14
 
 
 class Statistics(Enum):
@@ -323,16 +322,17 @@ def _pack(occ: np.ndarray, bits: int) -> np.ndarray:
 
 
 def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
-    """transformed_create as one merge over all modes' contributions.
+    """transformed_create as the loop ``out = out + c * create(v, mode)``,
+    one numpy round per mode.
 
-    Reproduces the loop ``out = out + c * create(v, mode)`` exactly:
+    Reproduces the loop exactly:
     - each contribution is c * (amp * s), with s = sqrt(n+1) or the
       Jordan-Wigner sign, in the float operations of the scalar complex
       product;
-    - each key's contributions are summed in mode order, one round per
-      contribution rank, starting from +0.0; such a sum never holds -0.0,
-      so neither the sign of a zero part of a contribution nor the reset
-      after an exact cancellation needs handling;
+    - round j adds mode j's contributions to their keys' running sums,
+      which start from +0.0; such a sum never holds -0.0, so neither the
+      sign of a zero part of a contribution nor the reset after an exact
+      cancellation needs handling;
     - a key whose running sum is exactly zero is dropped, and it is
       re-inserted by its next contribution, so keys come out ordered by
       the contribution that last inserted them.
@@ -367,71 +367,64 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
         return FockVector(space, {})
     src = np.concatenate(src, out=_mapped(total, np.int32))
     mode_slots = base_slot + np.asarray(modes)
-    mode_coeffs = coeffs[modes]
+
+    # Number the distinct keys, key_of[i] being contribution i's; equal keys
+    # are adjacent after the sort.
+    base = _pack(occ, bits)
+    words = np.take(base, src, axis=1, out=_mapped((len(base), total), np.uint64))
+    for j, slot in enumerate(mode_slots):
+        words[slot // per_word, bounds[j]:bounds[j + 1]] += np.uint64(1 << bits * (slot % per_word))
+    order = np.lexsort(words)
+    new_key = _mapped(total, bool)
+    new_key[0] = True
+    ranked = _mapped(total, np.uint64)
+    for word in words:
+        np.take(word, order, out=ranked)
+        new_key[1:] |= ranked[1:] != ranked[:-1]
+    del base, words, ranked
+    ranks = np.cumsum(new_key, out=_mapped(total, np.intp))
+    ranks -= 1
+    key_of = _mapped(total, np.intp)
+    key_of[order] = ranks
+    num_keys = int(ranks[-1]) + 1
+    del order, new_key, ranks
+
+    acc_re = _mapped(num_keys, np.float64)
+    acc_im = _mapped(num_keys, np.float64)
+    present = _mapped(num_keys, bool)
+    inserted_by = _mapped(num_keys, np.intp)
     if fermi:
         # occupied slots up to each slot; a raisable fermion slot is empty,
         # so there this counts the slots below it
         parity = np.cumsum(occ, axis=1) % 2
-
-    def contributions(idx):
-        """c * (amp * s) of the contributions idx, as (re, im)."""
-        j = np.searchsorted(bounds, idx, side="right") - 1
-        rows, slots = src[idx], mode_slots[j]
+    for j, mode in enumerate(modes):
+        lo, hi = bounds[j], bounds[j + 1]
+        rows, slot = src[lo:hi], mode_slots[j]
         if fermi:
-            s = 1.0 - 2.0 * parity[rows, slots]
+            s = 1.0 - 2.0 * parity[rows, slot]
         else:
-            s = np.sqrt(occ[rows, slots] + 1.0)
+            s = np.sqrt(occ[rows, slot] + 1.0)
         u_re = amps.real[rows] * s
         u_im = amps.imag[rows] * s
-        c_re, c_im = mode_coeffs.real[j], mode_coeffs.imag[j]
-        return c_re * u_re - c_im * u_im, c_re * u_im + c_im * u_re
-
-    def merge():
-        """Sum each key's contributions; (inserting contribution, re, im) per kept key."""
-        # Each key is its source's packed row plus one in the raised slot.
-        # Group equal keys; lexsort is stable, so each key's run is in loop order.
-        base = _pack(occ, bits)
-        words = np.take(base, src, axis=1, out=_mapped((len(base), total), np.uint64))
-        for j, mode in enumerate(modes):
-            slot = base_slot + mode
-            words[slot // per_word, bounds[j]:bounds[j + 1]] += np.uint64(1 << bits * (slot % per_word))
-        order = np.lexsort(words)
-        first = _mapped(total, bool)
-        first[0] = True
-        ranked = _mapped(total, np.uint64)
-        for word in words:
-            np.take(word, order, out=ranked)
-            first[1:] |= ranked[1:] != ranked[:-1]
-        starts = np.flatnonzero(first)
-        counts = np.diff(np.append(starts, total))
-
-        # Round r adds every key's r-th contribution; keys are independent,
-        # so blocks of keys go through their rounds one block at a time.
-        acc_re = _mapped(len(starts), np.float64)
-        acc_im = _mapped(len(starts), np.float64)
-        present = _mapped(len(starts), bool)
-        inserted_by = _mapped(len(starts), np.intp)
-        for lo in range(0, len(starts), _ROUND_BLOCK):
-            block = counts[lo:lo + _ROUND_BLOCK]
-            for rank in range(int(block.max())):
-                groups = lo + np.flatnonzero(block > rank)
-                at = order[starts[groups] + rank]
-                t_re, t_im = contributions(at)
-                re = acc_re[groups] + t_re
-                im = acc_im[groups] + t_im
-                zero = (re == 0.0) & (im == 0.0)
-                fresh = ~present[groups] & ~zero
-                inserted_by[groups[fresh]] = at[fresh]
-                acc_re[groups], acc_im[groups], present[groups] = re, im, ~zero
-        return inserted_by[present], acc_re[present], acc_im[present]
+        c_re, c_im = coeffs[mode].real, coeffs[mode].imag
+        # v's keys are distinct and one more quantum in a fixed slot keeps
+        # them so, hence ids has no repeats and the fancy-index update is safe
+        ids = key_of[lo:hi]
+        re = acc_re[ids] + (c_re * u_re - c_im * u_im)
+        im = acc_im[ids] + (c_re * u_im + c_im * u_re)
+        zero = (re == 0.0) & (im == 0.0)
+        fresh = ~present[ids] & ~zero
+        inserted_by[ids[fresh]] = lo + np.flatnonzero(fresh)
+        acc_re[ids], acc_im[ids], present[ids] = re, im, ~zero
+    del key_of
 
     # Keys come out in the order of the contribution that inserted them.
-    inserted_by, re, im = merge()
-    order = np.argsort(inserted_by)
-    idx = inserted_by[order]
+    kept = np.flatnonzero(present)
+    kept = kept[np.argsort(inserted_by[kept])]
+    idx = inserted_by[kept]
     values = _mapped(len(idx), complex)
-    values.real, values.imag = re[order], im[order]
-    del inserted_by, re, im, order
+    values.real, values.imag = acc_re[kept], acc_im[kept]
+    del acc_re, acc_im, present, inserted_by, kept
     rows = np.take(occ, src[idx], axis=0, out=_mapped((len(idx), occ.shape[1]), occ.dtype))
     rows[np.arange(len(rows)), mode_slots[np.searchsorted(bounds, idx, side="right") - 1]] += 1
     amplitudes: dict = {}

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -411,6 +412,13 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     (["measure", "--weights", "0.5,0.500000005"], "weights"),
     (["measure", "--weights", "0.5,0.49999999"], "weights"),
     (["fock-check", "--pairs", str(MAX_PAIRS + 1)], "pairs"),
+    (["fock-check", "--modes", "0"], "modes"),
+    (["causality", "--M", "0"], "M"),
+    (["wavepacket", "--M", "0"], "M"),
+    (["wavepacket", "--M", "7"], "M"),
+    (["measure", "--n-samples", "0"], "n_samples"),
+    (["causality", "--dx", "0"], "dx"),
+    (["wavepacket", "--dx", "0"], "dx"),
 ])
 def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -482,7 +490,7 @@ def assert_sweep_equals_per_pair_oracle(stats, modes, nmaxes, pairs=(0, 1, 50, 2
                 rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 for statistics in passes:
                     space = ModeSpace(modes, statistics, nmax=nmax)
-                    got = cli._ladder_relation_residuals(space, rng, n_pairs)
+                    [got] = cli._ladder_relation_residuals([space], rng, n_pairs)
                     want = ladder_relation_residuals_per_pair(space, oracle_rng, n_pairs)
                     case = (statistics, modes, nmax, n_pairs, seed)
                     assert got == want, case
@@ -503,7 +511,7 @@ def test_ladder_relation_sweep_equals_per_pair_oracle_without_the_jordan_wigner_
     drop_jordan_wigner_string(monkeypatch)
     assert_sweep_equals_per_pair_oracle(Statistics.FERMI, modes, (1,))
     if modes > 1:
-        residuals = cli._ladder_relation_residuals(ModeSpace(modes, Statistics.FERMI), np.random.default_rng(0), 200)
+        [residuals] = cli._ladder_relation_residuals([ModeSpace(modes, Statistics.FERMI)], np.random.default_rng(0), 200)
         assert residuals["exchange"] > 1e-12
 
 
@@ -534,9 +542,23 @@ def test_ladder_relation_sweep_arrays_are_bounded_by_the_block():
     n_pairs = 4100
     for stats in Statistics:
         rng = RecordingGenerator(0)
-        cli._ladder_relation_residuals(ModeSpace(62, stats, nmax=1), rng, n_pairs)
+        cli._ladder_relation_residuals([ModeSpace(62, stats, nmax=1)], rng, n_pairs)
         block = cli._BLOCK_ELEMENTS // (62 + 3)
         assert rng.sizes == [3 * block, 3 * block, 3 * (n_pairs - 2 * block)]
+
+
+def test_fock_check_checks_every_space_before_the_first_draw(tmp_path, capsys):
+    # at 63 modes and nmax 1 the boson space (one drawable state) indexes and
+    # the fermion space (2**63 states) does not, so nothing may be drawn
+    rng = RecordingGenerator(0)
+    spaces = [ModeSpace(63, stats, nmax=1) for stats in (Statistics.BOSE, Statistics.FERMI)]
+    with pytest.raises(ValueError, match="^modes = 63 with occupations 0..1 "):
+        cli._ladder_relation_residuals(spaces, rng, 100_000)
+    assert rng.sizes == []
+    argv = ["fock-check", "--out-dir", str(tmp_path), "--modes", "63", "--nmax", "1", "--pairs", "100000"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: modes = 63")
+    assert not (tmp_path / "fock_check.csv").exists()
 
 
 def test_causality_mass_whose_square_underflows_equals_massless(tmp_path):
@@ -622,6 +644,17 @@ def test_reused_parser_matches_fresh_processes(tmp_path, monkeypatch):
     assert cli._parser.cache_info().misses == 1
     assert [r[0] for r in reused] == [0, 0, 0, 2, 0, 0, 0, 0, 0]
     assert reused == run_steps(call_fresh_process, steps, tmp_path / "fresh")
+
+
+def test_runtime_loads_no_scipy_or_test_modules():
+    # the package and its CLI run on numpy alone
+    code = "import sys, fockfield, fockfield.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "hypothesis", "pytest", "_pytest"}
 
 
 def test_help_of_the_reused_parser_equals_a_fresh_parser(monkeypatch):

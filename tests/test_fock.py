@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from contextlib import contextmanager
@@ -480,6 +481,42 @@ def test_benchmark_size_kernel_builds_equal_the_dict_loop(statistics, modes, nma
         assert exact_items(got) == exact_items(loop_transformed_create(v, orbital))
         v = got
     assert len(v.amplitudes) == components
+
+
+@pytest.mark.parametrize("space, species", [
+    (ModeSpace(24, Statistics.BOSE, nmax=7), 0),  # 3 bits per slot, 21 slots per word
+    (ModeSpace(33, Statistics.FERMI, species_count=2), 1),  # 1 bit per slot, 64 slots per word
+], ids=["bose", "fermi"])
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_equals_dict_loop_on_keys_of_several_words(space, species, seed):
+    # Each base row gives the keys base + e_x + e_y, x < y in four empty
+    # slots of the raised species, so base + e_a + e_b + e_c takes three
+    # contributions of size 1 or 2: sums cancel exactly and keys come back.
+    assert 64 // space.occupation_cap.bit_length() < space.num_slots
+    rng = np.random.default_rng(seed)
+    lo = space.slot(0, species)
+    amps = {}
+    for base in rng.integers(0, 2, size=(40, space.num_slots)):
+        base[rng.integers(space.num_slots)] = space.occupation_cap  # a slot the loop cannot raise
+        empty = [slot for slot in range(lo, lo + space.num_modes) if base[slot] == 0]
+        for x, y in itertools.combinations(rng.choice(empty, 4, replace=False), 2):
+            key = base.copy()
+            key[[x, y]] += 1
+            amps[tuple(key.tolist())] = complex(*rng.choice([-2, -1, 0, 1, 2], 2))
+    v = FockVector(space, amps)
+    coeffs = rng.choice([-1, 1, 2], space.num_modes).astype(complex)
+    got = kernel_transformed_create(v, coeffs, species)
+    assert exact_items(got) == exact_items(loop_transformed_create(v, coeffs, species))
+    # keys in the order of their first contribution: some cancel and stay
+    # out, and some cancel and come back later in the order
+    first = {}
+    for mode in range(space.num_modes):
+        for key in v.amplitudes:
+            if key[lo + mode] < space.occupation_cap:
+                first.setdefault(key[:lo + mode] + (key[lo + mode] + 1,) + key[lo + mode + 1:])
+    kept = [key for key in first if key in got.amplitudes]
+    assert len(kept) < len(first)
+    assert kept != list(got.amplitudes)
 
 
 # -- caches on FockVector ------------------------------------------------------
