@@ -33,7 +33,6 @@ from .field import (
     default_spacelike_grid,
     field_expectation,
     from_momentum,
-    identity_resolution_residual,
     number_density,
     overlap,
     pauli_jordan,
@@ -66,5 +65,4 @@ from .qinfo import (
     reduced_density,
     sample_outcomes,
     schmidt,
-    two_particle_slot_state,
 )

@@ -4,7 +4,8 @@ Each subcommand wires one capability into a reproducible experiment that
 emits CSV artifacts plus a .meta.json sidecar.  Identical parameters and
 seed give byte-identical artifacts (the sidecar timestamp is the single
 exception).  Exit codes: 0 success, 1 internal invariant violation,
-2 configuration/validation error.
+2 configuration/validation error, such as a value outside the bounds
+``PARAMETERS`` declares for its parameter.
 
 The five scenarios in ``PARAMETERS`` may also read their parameters from
 an INI file given with ``--config`` (one section per scenario, key =
@@ -20,6 +21,7 @@ call, and reused: parsing keeps no state between calls.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import functools
 import math
@@ -80,6 +82,7 @@ def _parse_float_list(text: str):
 
 MAX_TIME_SAMPLES = 10**6
 MAX_PAIRS = 10**6  # fock-check --pairs
+LADDER_TOL = 1e-12  # largest ladder-relation residual fock-check and verify eq3 pass
 
 
 def _parse_times(text: str):
@@ -105,44 +108,48 @@ def _parse_times(text: str):
     return _parse_float_list(text)
 
 
-# Every scenario parameter: {scenario: {name: (type, default, help)}}.  Each
-# entry becomes the flag --<name with - for _> and the config key <name>.
-# Defaults are shared by every run, so the sequences are tuples.
+# Every scenario parameter: {scenario: {name: Param}}.  Each entry becomes
+# the flag --<name with - for _> and the config key <name>.  Defaults are
+# shared by every run, so the sequences are tuples.  lo and hi are inclusive
+# bounds, applied to each entry of a list; an int without lo is >= 0.
+Param = collections.namedtuple("Param", "type default help lo hi", defaults=(None, None, None))
 PARAMETERS = {
     "fock-check": {
-        "modes": (int, 4, None),
-        "nmax": (int, 6, None),
-        "pairs": (int, 200, None),
-        "seed": (int, 0, None),
+        "modes": Param(int, 4, lo=1),
+        # bosons are drawn with n < nmax; their exchange residual's rounding floor |√(n+1)·√(n+1) − √n·√n − 1|
+        # is <= 9.09e-13 for n < 4096 and first exceeds LADDER_TOL at n = 4104 (a scan of n < 2·10^5)
+        "nmax": Param(int, 6, lo=1, hi=4096),
+        "pairs": Param(int, 200, hi=MAX_PAIRS),
+        "seed": Param(int, 0),
     },
     "causality": {
-        "M": (int, 512, None),
-        "dx": (float, 0.25, "lattice spacing"),
-        "mass": (float, 1.0, None),
-        "dts": (_parse_float_list, None, "time separations (comma separated)"),
-        "separations": (_parse_float_list, None, "spatial separations (comma separated)"),
-        "cone_margin": (float, 3.0, None),
-        "workers": (int, 1, "no effect; kept so causality sidecars stay unchanged"),
+        "M": Param(int, 512, lo=2),
+        "dx": Param(float, 0.25, "lattice spacing"),
+        "mass": Param(float, 1.0, lo=0),
+        "dts": Param(_parse_float_list, None, "time separations (comma separated)"),
+        "separations": Param(_parse_float_list, None, "spatial separations (comma separated)"),
+        "cone_margin": Param(float, 3.0, lo=0),  # a negative margin lets timelike points into the sweep
+        "workers": Param(int, 1, "no effect; kept so causality sidecars stay unchanged"),
     },
     "wavepacket": {
-        "M": (int, 256, None),
-        "dx": (float, 1.0, "lattice spacing"),
-        "mass": (float, 1.0, None),
-        "sigma0": (float, 8.0, None),
-        "chirp": (float, 0.0, None),
-        "p0": (float, 0.0, None),
-        "x0": (float, 0.0, None),
-        "times": (_parse_times, tuple(k * 0.5 for k in range(101)), "start:stop:step or explicit list"),
+        "M": Param(int, 256, lo=2),
+        "dx": Param(float, 1.0, "lattice spacing"),
+        "mass": Param(float, 1.0, lo=0),
+        "sigma0": Param(float, 8.0),
+        "chirp": Param(float, 0.0),
+        "p0": Param(float, 0.0),
+        "x0": Param(float, 0.0),
+        "times": Param(_parse_times, tuple(k * 0.5 for k in range(101)), "start:stop:step or explicit list"),
     },
     "entangle": {
-        "overlap_a": (float, 0.0, "overlap of the two A-side states"),
-        "overlap_b": (float, 0.0, "overlap of the two B-side states"),
+        "overlap_a": Param(float, 0.0, "overlap of the two A-side states", lo=-1, hi=1),
+        "overlap_b": Param(float, 0.0, "overlap of the two B-side states", lo=-1, hi=1),
     },
     "measure": {
-        "weights": (_parse_float_list, (0.25, 0.75), "outcome weights |f|^2 (comma separated)"),
-        "apparatus_energy": (float, 1e6, None),
-        "n_samples": (int, 100000, None),
-        "seed": (int, 0, None),
+        "weights": Param(_parse_float_list, (0.25, 0.75), "outcome weights |f|^2 (comma separated)", lo=0),
+        "apparatus_energy": Param(float, 1e6),
+        "n_samples": Param(int, 100000, lo=1),
+        "seed": Param(int, 0),
     },
 }
 
@@ -153,9 +160,9 @@ def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
     A key in the scenario's config section that names none of its
     parameters is a ValueError naming the key ([DEFAULT] keys are shared by
     every section, so they are not checked).  Every resolved value then
-    passes one rule, or a ValueError names it: an int is >= 0, a float is
-    finite, a list is non-empty with finite entries (a None default means
-    "not given" and is left alone).
+    passes one rule, or a ValueError names it: a list is non-empty, a float
+    or list entry is finite, and the value or each entry lies within the
+    parameter's bounds (a None default means "not given" and is left alone).
     """
     file_values = {}
     if args.config:
@@ -170,7 +177,7 @@ def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
             if unknown:
                 raise ValueError(f"{', '.join(unknown)}: not a parameter of {scenario} (known: {', '.join(known)})")
     params = {}
-    for name, (caster, default, _) in PARAMETERS[scenario].items():
+    for name, (caster, default, _, lo, hi) in PARAMETERS[scenario].items():
         value = getattr(args, name)
         key = name.lower()  # configparser lowercases option names
         if value is None and key in file_values:
@@ -180,14 +187,19 @@ def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
                 raise ValueError(f"{name}: {err}") from None
         elif value is None:
             value = default
-        if isinstance(value, int):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        elif isinstance(value, (list, tuple)) and not value:
-            raise ValueError(f"{name} must not be empty")
-        elif value is not None and not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
         params[name] = value
+        if value is None:
+            continue
+        entries = value if isinstance(value, (list, tuple)) else [value]
+        if not entries:
+            raise ValueError(f"{name} must not be empty")
+        if caster is not int and not np.all(np.isfinite(entries)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        lo = 0 if lo is None and caster is int else lo
+        if lo is not None and min(entries) < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+        if hi is not None and max(entries) > hi:
+            raise ValueError(f"{name} must be <= {hi}, got {value!r}")
     return params
 
 
@@ -202,10 +214,6 @@ def _out_path(args, filename: str) -> str:
 
 def run_fock_check(args) -> int:
     p = _merged_params(args, "fock-check")
-    if p["pairs"] > MAX_PAIRS:
-        raise ValueError(f"pairs must be <= {MAX_PAIRS}, got {p['pairs']!r}")
-    if p["modes"] < 1:
-        raise ValueError(f"modes must be >= 1, got {p['modes']!r}")
     spaces = [ModeSpace(p["modes"], stats, nmax=p["nmax"]) for stats in (Statistics.BOSE, Statistics.FERMI)]
     rows = []
     worst = 0.0
@@ -218,8 +226,8 @@ def run_fock_check(args) -> int:
     artifacts.write_csv(path, ("statistics", "relation", "samples", "max_residual"), rows)
     artifacts.write_metadata(path, "fock-check", p, __version__, seed=p["seed"], generator=GENERATOR_NAME)
     print(f"wrote {path} (max residual {worst:.3e})")
-    if worst > 1e-12:
-        raise InvariantViolation(f"ladder relation residual {worst:.3e} exceeds 1e-12")
+    if worst > LADDER_TOL:
+        raise InvariantViolation(f"ladder relation residual {worst:.3e} exceeds {LADDER_TOL:g}")
     return 0
 
 
@@ -311,10 +319,10 @@ def run_wick(args) -> int:
 
 
 def _lattice(p: dict, dispersion: Dispersion) -> LatticeSpec:
-    """The scenario's lattice; M and dx are checked here, so that a bad
-    value is reported under its parameter name."""
-    if p["M"] < 2 or p["M"] % 2:
-        raise ValueError(f"M must be even and >= 2, got {p['M']!r}")
+    """The scenario's lattice; M's parity and dx > 0, which no bound in
+    PARAMETERS says, are checked here under their parameter names."""
+    if p["M"] % 2:
+        raise ValueError(f"M must be even, got {p['M']!r}")
     if p["dx"] <= 0:
         raise ValueError(f"dx must be > 0, got {p['dx']!r}")
     return LatticeSpec(p["M"], p["dx"], p["mass"], dispersion)
@@ -322,8 +330,6 @@ def _lattice(p: dict, dispersion: Dispersion) -> LatticeSpec:
 
 def run_causality(args) -> int:
     p = _merged_params(args, "causality")
-    if p["cone_margin"] < 0:  # a negative margin lets timelike points into the sweep
-        raise ValueError(f"cone_margin must be >= 0, got {p['cone_margin']!r}")
     lattice = _lattice(p, Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
@@ -377,9 +383,6 @@ def run_wavepacket(args) -> int:
 
 def run_entangle(args) -> int:
     p = _merged_params(args, "entangle")
-    for key in ("overlap_a", "overlap_b"):
-        if not -1.0 <= p[key] <= 1.0:
-            raise ValueError(f"{key} must lie in [-1, 1]")
     phi1, psi1 = np.array([1.0, 0.0]), np.array([1.0, 0.0])
     phi2 = np.array([p["overlap_a"], np.sqrt(1 - p["overlap_a"] ** 2)])
     psi2 = np.array([p["overlap_b"], np.sqrt(1 - p["overlap_b"] ** 2)])
@@ -400,15 +403,11 @@ def run_entangle(args) -> int:
 def run_measure(args) -> int:
     p = _merged_params(args, "measure")
     weights = np.asarray(p["weights"], dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
     if abs(weights.sum() - 1.0) > TRACE_TOL:  # the decohered state's trace check
         raise ValueError(f"weights must sum to 1 within {TRACE_TOL:g}, got {float(weights.sum())!r}")
     tau = decoherence_time(p["apparatus_energy"])
     if not np.isfinite(tau):
         raise ValueError(f"apparatus_energy must be large enough that 1/E is finite, got {p['apparatus_energy']!r}")
-    if p["n_samples"] < 1:
-        raise ValueError(f"n_samples must be >= 1, got {p['n_samples']!r}")
     model = MeasurementModel(
         tuple(range(len(weights))), tuple(np.sqrt(weights)), p["apparatus_energy"]
     )
@@ -439,7 +438,7 @@ def _check_eq3() -> tuple:
     rng = np.random.default_rng(0)
     spaces = [ModeSpace(4, Statistics.BOSE, nmax=6), ModeSpace(8, Statistics.FERMI, nmax=6)]
     worst = max(max(residuals.values()) for residuals in _ladder_relation_residuals(spaces, rng, 200))
-    return worst <= 1e-12, f"max ladder-relation residual {worst:.2e} (tol 1e-12)"
+    return worst <= LADDER_TOL, f"max ladder-relation residual {worst:.2e} (tol {LADDER_TOL:g})"
 
 
 def _check_eq8() -> tuple:
@@ -615,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
         if scenario in PARAMETERS:
             p.add_argument("--config", default=None, help="INI config file with one section per scenario")
-            for name, (caster, _, text) in PARAMETERS[scenario].items():
-                p.add_argument("--" + name.replace("_", "-"), dest=name, type=caster, help=text)
+            for name, param in PARAMETERS[scenario].items():
+                p.add_argument("--" + name.replace("_", "-"), dest=name, type=param.type, help=param.help)
 
     commands["wick"].add_argument("--expr", help="expression, e.g. 'bose: a(x1) a+(x2)'")
     commands["wick"].add_argument("--file", help="read the expression from a file")

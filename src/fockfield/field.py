@@ -275,19 +275,6 @@ def coherent_state(mode_amplitudes, mode_space: ModeSpace) -> FockVector:
     return FockVector(mode_space, amps).normalized()
 
 
-def identity_resolution_residual(v: FockVector, x: int) -> float:
-    """‖(Ψ(x)Ψ†(x) ∓ Ψ†(x)Ψ(x)) v − v‖, the resolution-of-identity defect.
-
-    Zero (to rounding) whenever v keeps the site occupation below nmax,
-    for bosons; always zero for fermions.
-    """
-    if v.mode_space.statistics is Statistics.BOSE:
-        w = annihilate(create(v, x), x) - create(annihilate(v, x), x)
-    else:
-        w = annihilate(create(v, x), x) + create(annihilate(v, x), x)
-    return (w - v).norm
-
-
 def _commutator_modes(lattice: LatticeSpec):
     """(ω, p) of the modes in the commutator sum: those with ω > 0."""
     if lattice.dispersion is not Dispersion.RELATIVISTIC:

@@ -84,10 +84,6 @@ class ModeSpace:
     def occupation_cap(self) -> int:
         return 1 if self.statistics is Statistics.FERMI else self.nmax
 
-    @property
-    def dimension(self) -> int:
-        return (self.occupation_cap + 1) ** self.num_slots
-
     def slot(self, mode: int, species: int = 0) -> int:
         if not 0 <= mode < self.num_modes:
             raise ValueError(f"mode {mode} out of range [0, {self.num_modes})")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_TOL, FockVector, Statistics
+from .fock import NORM_TOL
 
 GENERATOR_NAME = "numpy.random.PCG64"
 SCHMIDT_CUTOFF = 1e-12
@@ -82,12 +82,10 @@ class DensityMatrix:
         if self._rho is None:
             c = self._columns
             d_a, d_b = c.shape
-            rho = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-            for b in range(d_b):
-                col = c[:, b]
-                idx = np.arange(d_a) * d_b + b
-                rho[np.ix_(idx, idx)] = np.outer(col, col.conj())
-            self._rho = rho
+            b = np.arange(d_b)
+            rho = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
+            rho[:, b, :, b] = c.T[:, :, None] * c.T.conj()[:, None, :]
+            self._rho = rho.reshape(d_a * d_b, d_a * d_b)
         return self._rho
 
     @property
@@ -134,7 +132,7 @@ class MeasurementModel:
         if len(self.eigenvalues) != len(self.amplitudes):
             raise ValueError("eigenvalues and amplitudes must have equal length")
         if self.apparatus_energy <= 0:
-            raise ValueError("apparatus energy must be positive")
+            raise ValueError(f"apparatus_energy must be > 0, got {self.apparatus_energy!r}")
         total = sum(abs(a) ** 2 for a in self.amplitudes)
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes must be normalized (Σ|f|² = {float(total)!r})")
@@ -244,7 +242,7 @@ def decoherence_time(apparatus_energy: float) -> float:
     """ħ/E_A in natural units: macroscopic apparatus energies make this
     extremely short."""
     if apparatus_energy <= 0:
-        raise ValueError("apparatus energy must be positive")
+        raise ValueError(f"apparatus_energy must be > 0, got {apparatus_energy!r}")
     return 1.0 / apparatus_energy
 
 
@@ -269,30 +267,3 @@ def pointer_outcome_counts(counts: np.ndarray, dims) -> np.ndarray:
     """Fold flat product-space counts onto the pointer diagonal (λ, λ)."""
     d_a, d_b = dims
     return counts.reshape(d_a, d_b).diagonal().copy()
-
-
-def two_particle_slot_state(v: FockVector) -> BipartiteState:
-    """Reshape a two-particle Fock state as a bipartite state over slots.
-
-    The two tensor slots of ξ⊗η ± η⊗ξ are artificial labels (the
-    particles themselves are countable but not numerable), yet the state
-    over them has Schmidt rank ≥ 2 whenever ξ ∦ η: the slots are never
-    separable.
-    """
-    space = v.mode_space
-    if space.species_count != 1:
-        raise ValueError("slot bridge expects a single-species mode space")
-    if set(v.sector_weights()) != {2}:
-        raise ValueError("state must lie purely in the two-particle sector")
-    M = space.num_modes
-    sign = 1.0 if space.statistics is Statistics.BOSE else -1.0
-    T = np.zeros((M, M), dtype=complex)
-    for occ, amp in v.amplitudes.items():
-        occupied = [i for i, n in enumerate(occ) if n]
-        if len(occupied) == 1:
-            T[occupied[0], occupied[0]] = amp
-        else:
-            i, j = occupied  # i < j by construction
-            T[i, j] = amp / np.sqrt(2)
-            T[j, i] = sign * amp / np.sqrt(2)
-    return BipartiteState(T)

@@ -59,3 +59,16 @@ def occupations_at(index: int, radix: int, modes: int) -> tuple:
     """Entry ``index`` of itertools.product(range(radix), repeat=modes): its
     base-``radix`` digits, most significant first."""
     return tuple(index // radix ** (modes - 1 - j) % radix for j in range(modes))
+
+
+def identity_resolution_residual(v: FockVector, x: int) -> float:
+    """‖(Ψ(x)Ψ†(x) ∓ Ψ†(x)Ψ(x)) v − v‖, the resolution-of-identity defect.
+
+    Zero (to rounding) whenever v keeps the site occupation below nmax,
+    for bosons; always zero for fermions.
+    """
+    if v.mode_space.statistics is Statistics.BOSE:
+        w = annihilate(create(v, x), x) - create(annihilate(v, x), x)
+    else:
+        w = annihilate(create(v, x), x) + create(annihilate(v, x), x)
+    return (w - v).norm

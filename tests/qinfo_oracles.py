@@ -1,13 +1,16 @@
-"""Reference implementation for the decoherence map (test use only).
+"""Reference implementations for the qinfo layer (test use only).
 
 ``decohere_dense`` builds the dephased density matrix over the whole
 product space, (d_A·d_B)² entries, and passes it through the checked
 dense ``DensityMatrix`` constructor.  ``fockfield.qinfo.decohere`` keeps
 the pointer columns instead and must agree with it bit for bit.
+``two_particle_slot_state`` views a two-particle Fock state as a
+bipartite state over its two tensor slots.
 """
 
 import numpy as np
 
+from fockfield.fock import FockVector, Statistics
 from fockfield.qinfo import BipartiteState, DensityMatrix
 
 
@@ -29,3 +32,30 @@ def decohere_dense(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
         idx = np.arange(d_a) * d_b + b
         rho[np.ix_(idx, idx)] = block
     return DensityMatrix(rho)
+
+
+def two_particle_slot_state(v: FockVector) -> BipartiteState:
+    """Reshape a two-particle Fock state as a bipartite state over slots.
+
+    The two tensor slots of ξ⊗η ± η⊗ξ are artificial labels (the
+    particles themselves are countable but not numerable), yet the state
+    over them has Schmidt rank ≥ 2 whenever ξ ∦ η: the slots are never
+    separable.
+    """
+    space = v.mode_space
+    if space.species_count != 1:
+        raise ValueError("slot bridge expects a single-species mode space")
+    if set(v.sector_weights()) != {2}:
+        raise ValueError("state must lie purely in the two-particle sector")
+    M = space.num_modes
+    sign = 1.0 if space.statistics is Statistics.BOSE else -1.0
+    T = np.zeros((M, M), dtype=complex)
+    for occ, amp in v.amplitudes.items():
+        occupied = [i for i, n in enumerate(occ) if n]
+        if len(occupied) == 1:
+            T[occupied[0], occupied[0]] = amp
+        else:
+            i, j = occupied  # i < j by construction
+            T[i, j] = amp / np.sqrt(2)
+            T[j, i] = sign * amp / np.sqrt(2)
+    return BipartiteState(T)

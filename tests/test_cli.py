@@ -319,22 +319,36 @@ def test_verify_output_reproducible(capsys):
 
 # ----------------------------------------------------------------------
 # one parameter rule for every scenario: ints >= 0, floats finite, lists
-# non-empty with finite entries; a bad value exits 2 naming the parameter
+# non-empty with finite entries, each value or entry within its declared
+# bounds; a bad value exits 2 naming the parameter
 
 
-def bad_values(caster):
-    if caster is int:
-        return ["-1"]
-    if caster is float:
-        return ["nan", "inf"]
-    return ["", "nan,1", "1,inf"]
+def declared_bounds(param):
+    """(bound, outward step) for each bound the parameter's entry declares."""
+    return [(bound, step) for bound, step in ((param.lo, -1), (param.hi, 1)) if bound is not None]
+
+
+def past_bound(param, bound, step):
+    """The value just past a bound: bound + step for an int, the next float
+    outward for a float, and that float between two entries at the bound
+    for a list."""
+    if param.type is int:
+        return str(bound + step)
+    past = repr(float(np.nextafter(bound, step * np.inf)))
+    return past if param.type is float else f"{bound},{past},{bound}"
+
+
+def bad_values(param):
+    """The rule's bad values for the type, then the value just past each declared bound."""
+    values = ["-1"] if param.type is int else ["nan", "inf"] if param.type is float else ["", "nan,1", "1,inf"]
+    return values + [past_bound(param, bound, step) for bound, step in declared_bounds(param)]
 
 
 PARAMETER_CASES = [
     pytest.param(scenario, name, value, id=f"{scenario}-{name}-{value or 'empty'}")
     for scenario, table in PARAMETERS.items()
-    for name, (caster, _, _) in table.items()
-    for value in bad_values(caster)
+    for name, param in table.items()
+    for value in bad_values(param)
 ]
 
 
@@ -358,6 +372,44 @@ def test_every_parameter_rejects_a_bad_config_key(tmp_path, capsys, scenario, na
     config.write_text(f"[{scenario}]\n{name} = {value}\n")
     assert run([scenario, "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
     assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
+
+
+BOUND_CASES = [
+    pytest.param(scenario, name, bound, step, id=f"{scenario}-{name}-{bound}")
+    for scenario, table in PARAMETERS.items()
+    for name, param in table.items()
+    for bound, step in declared_bounds(param)
+]
+
+
+@pytest.mark.parametrize("scenario, name, bound, step", BOUND_CASES)
+def test_merged_params_accepts_each_bound_and_rejects_the_value_past_it(tmp_path, scenario, name, bound, step):
+    # _merged_params alone, so that a bound such as pairs = 10^6 costs nothing
+    config = tmp_path / "run.ini"
+
+    def merged(text, by_config):
+        config.write_text(f"[{scenario}]\n{name} = {text}\n")
+        flags = ["--config", str(config)] if by_config else ["--" + name.replace("_", "-") + "=" + text]
+        return cli._merged_params(build_parser().parse_args([scenario, *flags]), scenario)[name]
+
+    for by_config in (False, True):
+        value = merged(str(bound), by_config)
+        assert value == ([bound] if isinstance(value, list) else bound)
+        with pytest.raises(ValueError, match=f"^{name} must be {'<' if step > 0 else '>'}= {bound}, got "):
+            merged(past_bound(PARAMETERS[scenario][name], bound, step), by_config)
+
+
+def test_nmax_bound_keeps_the_boson_exchange_residual_within_the_tolerance(tmp_path):
+    hi = PARAMETERS["fock-check"]["nmax"].hi
+
+    def worst(nmax, occupations):
+        s = fock.FockVector(ModeSpace(1, Statistics.BOSE, nmax=nmax), {(n,): 1.0 + 0.0j for n in occupations})
+        w = fock.annihilate(fock.create(s, 0), 0) - fock.create(fock.annihilate(s, 0), 0) - s
+        return max(abs(v) for v in w.amplitudes.values())
+
+    assert worst(hi, range(hi)) <= cli.LADDER_TOL  # every occupation a boson pair is drawn with
+    assert worst(4105, [4104]) > cli.LADDER_TOL
+    assert run(["fock-check", "--out-dir", str(tmp_path), "--modes", "2", "--nmax", str(hi)]) == 0
 
 
 def test_fock_check_pairs_beyond_the_limit_from_config_exit_2(tmp_path, capsys):
@@ -419,6 +471,12 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     (["measure", "--n-samples", "0"], "n_samples"),
     (["causality", "--dx", "0"], "dx"),
     (["wavepacket", "--dx", "0"], "dx"),
+    (["fock-check", "--nmax", "0"], "nmax"),
+    (["fock-check", "--nmax", "4097"], "nmax"),
+    (["fock-check", "--modes", "2", "--nmax", "10000"], "nmax"),
+    (["causality", "--mass", "-1"], "mass"),
+    (["measure", "--apparatus-energy", "0"], "apparatus_energy"),
+    (["measure", "--apparatus-energy", "-1"], "apparatus_energy"),
 ])
 def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2

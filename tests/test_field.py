@@ -16,7 +16,6 @@ from fockfield.field import (
     field_expectation,
     from_momentum,
     from_momentum_values,
-    identity_resolution_residual,
     number_density,
     overlap,
     pauli_jordan,
@@ -34,6 +33,7 @@ from fockfield.fock import (
     vacuum,
 )
 from fockfield.wick import evaluate, parse, vacuum_expectation
+from fock_oracles import identity_resolution_residual
 
 LAT8 = LatticeSpec(8, 1.0, 1.0)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fockfield.fock import ModeSpace, Statistics, two_particle_symmetrized
-from qinfo_oracles import decohere_dense
+from qinfo_oracles import decohere_dense, two_particle_slot_state
 from fockfield.qinfo import (
     BipartiteState,
     DensityMatrix,
@@ -21,7 +21,6 @@ from fockfield.qinfo import (
     reduced_density,
     sample_outcomes,
     schmidt,
-    two_particle_slot_state,
 )
 
 E0 = np.array([1.0, 0.0])
