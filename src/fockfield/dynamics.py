@@ -27,9 +27,7 @@ import numpy as np
 from .field import (
     _BLOCK_ELEMENTS,
     LatticeSpec,
-    MomentumAmplitude,
     WaveAmplitude,
-    from_momentum,
     from_momentum_values,
     to_momentum,
 )
@@ -72,7 +70,8 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
 
     The chirp tilts the position-momentum correlation: ⟨C⟩ = −chirp/2, so
     a positive chirp prepares a shrinking packet.  Requires σ₀ ≥ 2Δx (to
-    resolve the profile) and x0 at least 8σ₀ from the periodic seam.
+    resolve the profile), x0 at least 8σ₀ from the periodic seam, and a
+    phase that is finite at every site.
     """
     if sigma0 < 2 * lattice.spacing:
         raise ValueError(f"sigma0 {sigma0} too narrow; need >= 2 spacing = {2 * lattice.spacing}")
@@ -83,8 +82,30 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
             f"packet at x0={x0} is {seam_distance:g} from the seam; need >= {8 * sigma0:g}"
         )
     x = lattice.positions
-    f = np.exp(-(1 + 1j * chirp) * (x - x0) ** 2 / (4 * sigma0**2) + 1j * p0 * x)
+    with np.errstate(all="ignore"):  # a phase that is not finite makes f nan, reported below
+        f = np.exp(-(1 + 1j * chirp) * (x - x0) ** 2 / (4 * sigma0**2) + 1j * p0 * x)
+    if not np.isfinite(f).all():
+        raise ValueError(f"the packet phase is not finite at p0 {p0!r}, chirp {chirp!r}")
     return WaveAmplitude(f / np.linalg.norm(f), lattice)
+
+
+def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Momentum amplitudes g(p)·exp(−i p² t / 2m), one row per entry of the
+    1-D float array times.
+
+    Raises ValueError for a mass that is not positive, or when p² t / 2m
+    is not finite for some mode and time, so no evolved value is nan.
+    """
+    if lattice.mass <= 0:
+        raise ValueError("mass must be positive")
+    with np.errstate(all="ignore"):  # a phase that is not finite makes its exponential nan, reported below
+        phases = np.exp(-1j * lattice.momenta**2 * times[:, None] / (2 * lattice.mass))
+    if not np.isfinite(phases).all():
+        raise ValueError(
+            f"the phase p^2 t / 2m is not finite for times up to {float(np.max(np.abs(times)))!r} "
+            f"at mass {lattice.mass!r}"
+        )
+    return g * phases
 
 
 def evolve(f: WaveAmplitude, t: float, lattice: LatticeSpec) -> WaveAmplitude:
@@ -92,11 +113,8 @@ def evolve(f: WaveAmplitude, t: float, lattice: LatticeSpec) -> WaveAmplitude:
 
     Unitary for every t; the momentum distribution is invariant.
     """
-    if lattice.mass <= 0:
-        raise ValueError("mass must be positive")
-    g = to_momentum(f)
-    phases = np.exp(-1j * lattice.momenta**2 * t / (2 * lattice.mass))
-    return from_momentum(MomentumAmplitude(g.values * phases, lattice))
+    gt = _evolved_momenta(to_momentum(f).values, np.array([t], dtype=float), lattice)[0]
+    return WaveAmplitude(from_momentum_values(gt, lattice), lattice)
 
 
 def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):
@@ -107,8 +125,6 @@ def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):
     ⟨C⟩ = Re⟨X f, P f⟩ takes one np.vdot per sample, because a row sum
     would add the products in another order.
     """
-    if lattice.mass <= 0:
-        raise ValueError("mass must be positive")
     g0 = to_momentum(f0).values
     x = lattice.positions
     p = lattice.momenta
@@ -118,7 +134,7 @@ def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):
     records = []
     for lo in range(0, len(ts), rows):
         block = ts[lo:lo + rows]
-        gt = g0 * np.exp(-1j * p**2 * block[:, None] / (2 * lattice.mass))
+        gt = _evolved_momenta(g0, block, lattice)
         ft = from_momentum_values(gt, lattice)
         pf = from_momentum_values(p * gt, lattice)
         fdens = np.abs(ft) ** 2

@@ -85,10 +85,16 @@ class LatticeSpec:
         the spacelike commutator cancel to spectral accuracy instead of
         O(Δx²).  The k = 0 entry is 0 for m = 0 and for any mass whose
         square underflows to 0 (m below about 1.6e-162); such entries must
-        be excluded from measure-weighted sums (infrared cutoff).
+        be excluded from measure-weighted sums (infrared cutoff).  Raises
+        ValueError when some ω is not finite: m² overflows, or Δx is so
+        small that the momenta do.
         """
-        p_eff = (2.0 / self.spacing) * np.sin(self.momenta * self.spacing / 2.0)
-        return np.sqrt(self.mass**2 + p_eff**2)
+        with np.errstate(all="ignore"):  # an overflow is reported below, not as a numpy warning
+            p_eff = (2.0 / self.spacing) * np.sin(self.momenta * self.spacing / 2.0)
+            w = np.sqrt(np.float64(self.mass) ** 2 + p_eff**2)  # the float's own ** raises OverflowError
+        if not np.isfinite(w).all():
+            raise ValueError(f"the mode frequencies are not finite at mass {self.mass!r}, dx {self.spacing!r}")
+        return w
 
 
 @dataclass
@@ -339,7 +345,8 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     over (rows × modes), and the antiparticle term reuses it as conj(e).
     Blocks hold at most about 2**17 complex values (2 MiB) at any M.
     Every value is exactly equal (==) to the matching pauli_jordan call,
-    so artifacts built from either are byte-identical.
+    so artifacts built from either are byte-identical.  A pair whose phase
+    p·dx − ω·dt is not finite for some mode raises ValueError.
     """
     w, p = _commutator_modes(lattice)
     M = lattice.num_sites
@@ -351,7 +358,12 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     for lo in range(0, len(grid), rows):
         dt = grid[lo:lo + rows, 0:1]
         dx = grid[lo:lo + rows, 1:2]
-        e = np.exp(1j * (p * dx - w * dt))
+        with np.errstate(all="ignore"):  # a phase that is not finite makes e nan, reported below
+            e = np.exp(1j * (p * dx - w * dt))
+        if not np.isfinite(e).all():
+            bad = np.isfinite(e).all(axis=1).argmin()
+            raise ValueError(f"the phase p*dx - w*dt is not finite at dts {float(dt[bad, 0])!r}, "
+                             f"separations {float(dx[bad, 0])!r}")
         without[lo:lo + rows] = np.sum(e / two_w, axis=1) / M
         with_anti[lo:lo + rows] = np.sum((e - e.conj()) / two_w, axis=1) / M
     return with_anti.tolist(), without.tolist()

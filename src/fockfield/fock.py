@@ -288,8 +288,10 @@ def _occupation_dtype(cap: int):
 def _occupation_matrix(v: FockVector):
     """Occupation rows of v in amplitudes order, cached on v.
 
-    None when a key is not a tuple of num_slots occupations in [0, cap]
+    None when a key is not a tuple of num_slots integers in [0, cap]
     (possible only for a hand-built vector); callers then use the dict loop.
+    The keys are read with numpy's own dtype first, because a cast to the
+    occupation dtype would truncate an entry such as 1.5 silently.
     """
     if v._occupations is None:
         space = v.mode_space
@@ -298,12 +300,14 @@ def _occupation_matrix(v: FockVector):
         if dtype is None:
             return None
         try:
-            occ = np.array(list(v.amplitudes), dtype=dtype)
-        except (OverflowError, TypeError, ValueError):
+            occ = np.array(list(v.amplitudes))
+        except ValueError:  # keys of different lengths
             return None
-        if occ.shape != (len(v.amplitudes), space.num_slots) or occ.min() < 0 or occ.max() > cap:
+        if occ.dtype.kind != "i" or occ.shape != (len(v.amplitudes), space.num_slots):
             return None
-        v._occupations = occ
+        if occ.min() < 0 or occ.max() > cap:
+            return None
+        v._occupations = occ.astype(dtype)
     return v._occupations
 
 

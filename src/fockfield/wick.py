@@ -57,6 +57,22 @@ class OperatorString:
         return f"{self.statistics.value}:" + (f" {atoms}" if atoms else "")
 
 
+def _signed_sum(terms) -> str:
+    """Print (coefficient, factors) pairs as a sum: a magnitude of 1 is left
+    out, a term without factors prints 1, the first sign is a bare "-" and
+    later ones " + " or " - ", and an empty sum prints 0."""
+    out = []
+    for coeff, factors in terms:
+        body = " ".join(factors) or "1"
+        piece = body if abs(coeff) == 1 else f"{abs(coeff)} {body}"
+        if out:
+            piece = ("- " if coeff < 0 else "+ ") + piece
+        elif coeff < 0:
+            piece = "-" + piece
+        out.append(piece)
+    return " ".join(out) or "0"
+
+
 @dataclass(frozen=True)
 class NormalTerm:
     """coefficient × (product of deltas) × normal-ordered operator string."""
@@ -65,14 +81,11 @@ class NormalTerm:
     deltas: tuple  # sorted tuple of sorted label pairs
     operators: tuple  # LadderSymbols, all CREATE before all ANNIHILATE
 
+    def _factors(self) -> list:
+        return [f"d({a},{b})" for a, b in self.deltas] + [str(s) for s in self.operators]
+
     def __str__(self):
-        parts = [f"d({a},{b})" for a, b in self.deltas]
-        parts += [str(s) for s in self.operators]
-        mag = abs(self.coefficient)
-        if not parts:
-            parts = ["1"]
-        body = " ".join(parts)
-        return body if mag == 1 else f"{mag} {body}"
+        return _signed_sum([(abs(self.coefficient), self._factors())])
 
 
 @dataclass(frozen=True)
@@ -81,15 +94,7 @@ class NormalForm:
     statistics: Statistics
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        out = []
-        for i, t in enumerate(self.terms):
-            if i == 0:
-                out.append(("-" if t.coefficient < 0 else "") + str(t))
-            else:
-                out.append(("- " if t.coefficient < 0 else "+ ") + str(t))
-        return " ".join(out)
+        return _signed_sum((t.coefficient, t._factors()) for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -106,18 +111,7 @@ class DeltaPolynomial:
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for i, (coeff, deltas) in enumerate(self.terms):
-            body = " ".join(f"d({a},{b})" for a, b in deltas) or "1"
-            mag = abs(coeff)
-            piece = body if mag == 1 else f"{mag} {body}"
-            if i == 0:
-                chunks.append(("-" if coeff < 0 else "") + piece)
-            else:
-                chunks.append(("- " if coeff < 0 else "+ ") + piece)
-        return " ".join(chunks)
+        return _signed_sum((coeff, [f"d({a},{b})" for a, b in deltas]) for coeff, deltas in self.terms)
 
 
 class ParseError(ValueError):

@@ -483,6 +483,44 @@ def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert_rejected(tmp_path / "out", capsys.readouterr().err, name)
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["wavepacket", "--mass", "5e-324"], ["mass"]),
+    (["wavepacket", "--mass", "5e-324", "--density-out", "d.csv"], ["mass"]),
+    (["wavepacket", "--times", "1e308"], ["times"]),
+    (["wavepacket", "--p0", "1e308"], ["p0"]),
+    (["wavepacket", "--chirp", "1e308"], ["chirp"]),
+    (["causality", "--M", "100000000"], ["M"]),
+    (["wavepacket", "--M", "100000000", "--times", "0"], ["M"]),
+    (["causality", "--mass", "1e300"], ["mass"]),
+    (["causality", "--dx", "5e-324"], ["dx"]),
+    (["causality", "--dx", "1e308"], ["dx"]),
+    (["causality", "--dts", "1", "--separations", "1e308"], ["separations"]),
+    (["causality", "--dts", "1e308", "--separations", "1"], ["dts"]),
+    (["entangle", "--overlap-a", "1", "--overlap-b", "-1"], ["overlap_a", "overlap_b"]),
+    (["entangle", "--overlap-a", "-1", "--overlap-b", "1"], ["overlap_a", "overlap_b"]),
+])
+def test_non_finite_phases_and_lattice_edges_exit_2_naming_the_parameter(tmp_path, argv, names):
+    # in-process, where every warning is an error, as under python -W error
+    rc, out, err = call_in_process([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in names), err
+    assert "Traceback" not in err and "Warning" not in err and "numpy" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["causality", "--dts", "1"], "error: --dts and --separations must be given together\n"),
+    (["wick"], "error: wick needs --expr or --file\n"),
+    (["wavepacket", "--times", "1:2"], "error: argument --times: times must be start:stop:step, got '1:2'\n"),
+])
+def test_incomplete_arguments_exit_2(tmp_path, argv, message):
+    rc, out, err = call_in_process([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.endswith(message), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_times_range_is_bounded(tmp_path, capsys):
     config = tmp_path / "run.ini"
     for text, reason in (

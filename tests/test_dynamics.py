@@ -12,7 +12,7 @@ from fockfield.dynamics import (
     gaussian_packet,
     trajectory,
 )
-from fockfield.field import Dispersion, LatticeSpec, WaveAmplitude, to_momentum
+from fockfield.field import Dispersion, LatticeSpec, MomentumAmplitude, WaveAmplitude, from_momentum, to_momentum
 
 LAT = LatticeSpec(256, 1.0, 1.0)
 
@@ -309,3 +309,28 @@ def test_numpy_row_blocks_equal_per_row_calls(M):
         (np.sum(block, axis=1), [np.sum(row) for row in block]),
     ):
         assert np.asarray(batched).tobytes() == np.asarray(per_row).tobytes()
+
+
+@pytest.mark.parametrize("mass, message", [
+    (0.0, "^mass must be positive$"),
+    (5e-324, "^the phase p\\^2 t / 2m is not finite for times up to 1.0 at mass 5e-324$"),
+])
+def test_evolve_and_trajectory_check_the_mass_and_the_phase_in_one_step(mass, message):
+    lat = LatticeSpec(64, 1.0, mass)
+    f = WaveAmplitude(np.full(64, 0.125), lat)
+    for run in (lambda: evolve(f, 1.0, lat), lambda: trajectory(f, [0.0, 1.0], lat)):
+        with pytest.raises(ValueError, match=message) as exc:
+            run()
+        assert exc.traceback[-1].name == "_evolved_momenta"
+
+
+def test_evolve_equals_the_phase_product_through_from_momentum_bitwise():
+    # the density-out profile: evolve keeps the bits of multiplying g(p) by
+    # exp(-i p^2 t / 2m) for one scalar t and inverting one amplitude
+    rng = np.random.default_rng(12)
+    for lat in (LAT, LatticeSpec(64, 0.3, 2.5)):
+        f = WaveAmplitude(rng.normal(size=lat.num_sites) + 1j * rng.normal(size=lat.num_sites), lat)
+        for t in (0.0, -2.5, 17, 1e3):
+            phases = np.exp(-1j * lat.momenta**2 * t / (2 * lat.mass))
+            want = from_momentum(MomentumAmplitude(to_momentum(f).values * phases, lat)).values
+            assert evolve(f, t, lat).values.tobytes() == want.tobytes()

@@ -446,6 +446,31 @@ def test_kernel_occupations_above_int8_do_not_wrap():
         assert number_expectation(w, mode) == pytest.approx(want, rel=1e-13)
 
 
+BASIS_OF_256 = list(ModeSpace(4, Statistics.BOSE, nmax=3).basis_states())
+HAND_BUILT_KEYS = {  # ARRAY_CUTOFF keys each, none of which a kernel may read as an occupation matrix
+    "every-key-long": (4, 3, [k + (0,) for k in BASIS_OF_256]),
+    "one-key-short": (4, 3, BASIS_OF_256[:255] + [(0, 0, 0)]),
+    "negative": (4, 3, BASIS_OF_256[:255] + [(0, -1, 0, 0)]),
+    "above-cap": (4, 3, BASIS_OF_256[:255] + [(0, 4, 0, 0)]),
+    "non-integer": (4, 3, BASIS_OF_256[:255] + [(0, 1.5, 0, 0)]),  # a cast to int8 reads 1
+    "cap-beyond-int64": (1, 2**63, [(n,) for n in range(256)]),
+}
+
+
+@pytest.mark.parametrize("case", HAND_BUILT_KEYS)
+def test_hand_built_keys_run_on_the_dict_loops(case):
+    modes, nmax, keys = HAND_BUILT_KEYS[case]
+    v = FockVector(ModeSpace(modes, Statistics.BOSE, nmax=nmax), {k: complex(1 / 16) for k in keys})
+    assert len(v.amplitudes) == fock.ARRAY_CUTOFF
+    coeffs = [0.5, -1j, 0.25, 0.0][:modes]  # no loop reads a slot past the short key
+    assert exact_items(transformed_create(v, coeffs)) == exact_items(loop_transformed_create(v, coeffs))
+    for mode in range(min(modes, 3)):
+        with dict_path():
+            want = number_expectation(v, mode)
+        assert number_expectation(v, mode) == want
+    assert v._occupations is None
+
+
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI], ids=["bose", "fermi"])
 def test_large_number_expectation_matches_dict_loop(statistics):
     # particles in both species; every mode, each species and the net total
