@@ -3,25 +3,24 @@
 Every CSV declares its column schema in the first row, floats are printed
 with 17 significant digits so regression diffs are byte-stable, complex
 values are split into re/im columns by the caller, and files are written
-atomically (temp file + rename).  Metadata sidecars carry the exact
-parameters, seed, generator name, and tool version next to each artifact;
-the timestamp field is the only entry excluded from determinism
-comparisons.
+atomically (temp file + rename) with the mode the umask gives a new file.
+Metadata sidecars carry the exact parameters, seed, generator name, and
+tool version next to each artifact; the timestamp field is the only entry
+excluded from determinism comparisons.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from datetime import datetime, timezone
+
+from . import __version__
 
 
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.16e}"
     return str(value)
@@ -30,7 +29,9 @@ def format_value(value) -> str:
 def _atomic_write(path: str, data: str):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    # O_EXCL as in mkstemp, but mode 0o666 minus the umask, as open(path, "w") gives (mkstemp gives 0o600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(data)
@@ -57,14 +58,14 @@ def metadata_path(artifact_path: str) -> str:
     return stem + ".meta.json"
 
 
-def write_metadata(artifact_path: str, scenario: str, parameters: dict, version: str,
+def write_metadata(artifact_path: str, scenario: str, parameters: dict,
                    seed=None, generator=None, extra: dict | None = None):
     meta = {
         "scenario": scenario,
         "parameters": parameters,
         "seed": seed,
         "generator": generator,
-        "version": version,
+        "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if extra:

@@ -152,7 +152,7 @@ PARAMETERS = {
     "measure": {
         "weights": Param(_parse_float_list, (0.25, 0.75), "outcome weights |f|^2 (comma separated)", lo=0),
         "apparatus_energy": Param(float, 1e6),
-        "n_samples": Param(int, 100000, lo=1),
+        "n_samples": Param(int, 100000, lo=1, hi=2**63 - 1),  # numpy's multinomial takes the count as a C long
         "seed": Param(int, 0),
     },
 }
@@ -212,6 +212,18 @@ def _out_path(args, filename: str) -> str:
     return os.path.join(base, filename)
 
 
+def _write_table(args, filename: str, header, rows, params: dict, note: str = "", **extra):
+    """Write a scenario's CSV and its sidecar, then print ``wrote <path>`` and `` (<note>)`` if
+    given.  The sidecar names args.scenario and records params, the extra entries, and the seed
+    and GENERATOR_NAME when params has a seed (null for both otherwise)."""
+    path = _out_path(args, filename)
+    artifacts.write_csv(path, header, rows)
+    seed = params.get("seed")
+    artifacts.write_metadata(path, args.scenario, params, seed=seed,
+                             generator=None if seed is None else GENERATOR_NAME, extra=extra)
+    print(f"wrote {path} ({note})" if note else f"wrote {path}")
+
+
 # ----------------------------------------------------------------------
 # scenarios
 
@@ -226,10 +238,8 @@ def run_fock_check(args) -> int:
         for relation, value in residuals.items():
             rows.append((space.statistics.value, relation, p["pairs"], value))
             worst = max(worst, value)
-    path = _out_path(args, "fock_check.csv")
-    artifacts.write_csv(path, ("statistics", "relation", "samples", "max_residual"), rows)
-    artifacts.write_metadata(path, "fock-check", p, __version__, seed=p["seed"], generator=GENERATOR_NAME)
-    print(f"wrote {path} (max residual {worst:.3e})")
+    _write_table(args, "fock_check.csv", ("statistics", "relation", "samples", "max_residual"), rows, p,
+                 f"max residual {worst:.3e}")
     if worst > LADDER_TOL:
         raise InvariantViolation(f"ladder relation residual {worst:.3e} exceeds {LADDER_TOL:g}")
     return 0
@@ -318,7 +328,7 @@ def run_wick(args) -> int:
     if args.out is not None:
         path = _out_path(args, args.out)
         artifacts.write_text(path, rendered + "\n")
-        artifacts.write_metadata(path, "wick", {"expr": text}, __version__)
+        artifacts.write_metadata(path, "wick", {"expr": text})
     return 0
 
 
@@ -340,26 +350,26 @@ def run_causality(args) -> int:
     lattice = _lattice(p, Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
+    # read before the sweep, so that a frequency that is not finite is reported as such, not as a phase
+    k0_excluded = bool(np.any(lattice.frequencies == 0))
     if p["dts"] is not None:
         pairs = [(dt, dx) for dt in p["dts"] for dx in p["separations"]]
     else:
         pairs = default_spacelike_grid(lattice, cone_margin=p["cone_margin"])
-    with_vals, without_vals = commutator_sweep(lattice, pairs)
+    try:
+        with_vals, without_vals = commutator_sweep(lattice, pairs)
+    except ValueError:
+        if p["dts"] is not None:
+            raise
+        # the sweep names the failing pair, but on the default grid mass, dx and M set the pairs
+        raise ValueError(f"the phase p*dx - w*dt is not finite on the default grid at mass {p['mass']!r}, "
+                         f"dx {p['dx']!r}, M {p['M']!r}") from None
     rows = [
         (dt, dx, w.real, w.imag, abs(w), wo.real, wo.imag, abs(wo))
         for (dt, dx), w, wo in zip(pairs, with_vals, without_vals)
     ]
-    path = _out_path(args, "causality.csv")
-    artifacts.write_csv(
-        path,
-        ("dt", "dx", "re_with", "im_with", "abs_with", "re_without", "im_without", "abs_without"),
-        rows,
-    )
-    artifacts.write_metadata(
-        path, "causality", p, __version__,
-        extra={"k0_excluded": bool(np.any(lattice.frequencies == 0))},
-    )
-    print(f"wrote {path} ({len(rows)} points)")
+    header = ("dt", "dx", "re_with", "im_with", "abs_with", "re_without", "im_without", "abs_without")
+    _write_table(args, "causality.csv", header, rows, p, f"{len(rows)} points", k0_excluded=k0_excluded)
     return 0
 
 
@@ -368,23 +378,15 @@ def run_wavepacket(args) -> int:
     lattice = _lattice(p, Dispersion.NONRELATIVISTIC)
     packet = gaussian_packet(lattice, p["x0"], p["p0"], p["sigma0"], p["chirp"])
     records = trajectory(packet, p["times"], lattice)
-    path = _out_path(args, "wavepacket.csv")
-    artifacts.write_csv(path, TrajectoryRecord.CSV_HEADER, [r.row() for r in records])
-    artifacts.write_metadata(path, "wavepacket", p, __version__)
-    print(f"wrote {path} ({len(records)} samples)")
+    _write_table(args, "wavepacket.csv", TrajectoryRecord.CSV_HEADER, [r.row() for r in records], p,
+                 f"{len(records)} samples")
     if args.density_out is not None:
         final = evolve(packet, p["times"][-1], lattice)
-        dpath = _out_path(args, args.density_out)
-        artifacts.write_csv(
-            dpath,
-            ("x", "re_f", "im_f", "density"),
-            [
-                (float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
-                for x, v in zip(lattice.positions, final.values)
-            ],
-        )
-        artifacts.write_metadata(dpath, "wavepacket", p, __version__)
-        print(f"wrote {dpath}")
+        rows = [
+            (float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
+            for x, v in zip(lattice.positions, final.values)
+        ]
+        _write_table(args, args.density_out, ("x", "re_f", "im_f", "density"), rows, p)
     return 0
 
 
@@ -403,10 +405,7 @@ def run_entangle(args) -> int:
     rows.append(("entropy_reduced_a", entanglement_entropy(rho_a)))
     rows.append(("entropy_reduced_b", entanglement_entropy(reduced_density(state, "B"))))
     rows.append(("purity_reduced_a", rho_a.purity))
-    path = _out_path(args, "entangle.csv")
-    artifacts.write_csv(path, ("label", "value"), rows)
-    artifacts.write_metadata(path, "entangle", p, __version__)
-    print(f"wrote {path} (entropy {entropy:.6f})")
+    _write_table(args, "entangle.csv", ("label", "value"), rows, p, f"entropy {entropy:.6f}")
     return 0
 
 
@@ -429,14 +428,8 @@ def run_measure(args) -> int:
         (lam, int(c), c / p["n_samples"])
         for lam, c in zip(model.eigenvalues, counts)
     ]
-    path = _out_path(args, "measure.csv")
-    artifacts.write_csv(path, ("lambda", "count", "frequency"), rows)
-    artifacts.write_metadata(
-        path, "measure", p, __version__,
-        seed=p["seed"], generator=GENERATOR_NAME,
-        extra={"decoherence_time": tau},
-    )
-    print(f"wrote {path} ({p['n_samples']} draws)")
+    _write_table(args, "measure.csv", ("lambda", "count", "frequency"), rows, p, f"{p['n_samples']} draws",
+                 decoherence_time=tau)
     return 0
 
 

@@ -70,8 +70,8 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
 
     The chirp tilts the position-momentum correlation: ⟨C⟩ = −chirp/2, so
     a positive chirp prepares a shrinking packet.  Requires σ₀ ≥ 2Δx (to
-    resolve the profile), x0 at least 8σ₀ from the periodic seam, and a
-    phase that is finite at every site.
+    resolve the profile), x0 at least 8σ₀ from the periodic seam, a
+    finite (x−x0)²/4σ₀² and a phase that is finite at every site.
     """
     if sigma0 < 2 * lattice.spacing:
         raise ValueError(f"sigma0 {sigma0} too narrow; need >= 2 spacing = {2 * lattice.spacing}")
@@ -82,8 +82,14 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
             f"packet at x0={x0} is {seam_distance:g} from the seam; need >= {8 * sigma0:g}"
         )
     x = lattice.positions
-    with np.errstate(all="ignore"):  # a phase that is not finite makes f nan, reported below
-        f = np.exp(-(1 + 1j * chirp) * (x - x0) ** 2 / (4 * sigma0**2) + 1j * p0 * x)
+    with np.errstate(all="ignore"):  # a term that is not finite is reported below
+        d2 = (x - x0) ** 2
+        width = 4 * np.float64(sigma0) ** 2  # the float's own ** raises OverflowError
+        # overflow or 0/0 at extreme lattice scales; numpy divides the complex term below by
+        # scaling with 1/width, so that must be finite as well
+        if not (np.isfinite([width, 1 / width]).all() and np.isfinite(d2 / width).all()):
+            raise ValueError(f"(x - x0)^2 / 4 sigma0^2 is not finite at sigma0 {sigma0!r}, dx {lattice.spacing!r}")
+        f = np.exp(-(1 + 1j * chirp) * d2 / width + 1j * p0 * x)
     if not np.isfinite(f).all():
         raise ValueError(f"the packet phase is not finite at p0 {p0!r}, chirp {chirp!r}")
     return WaveAmplitude(f / np.linalg.norm(f), lattice)

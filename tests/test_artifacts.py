@@ -1,6 +1,9 @@
+import os
+import stat
+
 import pytest
 
-from fockfield import artifacts
+from fockfield import artifacts, cli
 
 
 def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
@@ -11,3 +14,14 @@ def test_atomic_write_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkey
     with pytest.raises(OSError, match="rename refused"):
         artifacts.write_text(str(tmp_path / "out" / "wick.txt"), "a+(x)\n")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_artifacts_take_the_mode_the_umask_gives_a_new_file(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert cli.main(["entangle", "--out-dir", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"entangle.csv": mode, "entangle.meta.json": mode}

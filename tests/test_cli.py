@@ -7,14 +7,16 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from fockfield import artifacts, cli, fock
+from fockfield import __version__, artifacts, cli, fock
 from fockfield.cli import MAX_PAIRS, PARAMETERS, SCENARIOS, build_parser, main
 from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
 from fockfield.fock import ModeSpace, Statistics
+from fockfield.qinfo import GENERATOR_NAME
 from fockfield.wick import MAX_TERMS
 
 from fock_oracles import ladder_relation_residuals_per_pair, occupations_at
@@ -216,6 +218,24 @@ def test_fock_check_artifact(tmp_path):
     assert all(float(line.split(",")[3]) <= 1e-12 for line in lines[1:])
 
 
+@pytest.mark.parametrize("argv, seeded, extra", [
+    (["fock-check", "--pairs", "10", "--seed", "3"], True, []),
+    (["causality", "--M", "16"], False, ["k0_excluded"]),
+    (["wavepacket", "--M", "64", "--sigma0", "3", "--times", "0,1", "--density-out", "d.csv"], False, []),
+    (["entangle"], False, []),
+    (["measure", "--n-samples", "100", "--seed", "3"], True, ["decoherence_time"]),
+])
+def test_every_table_sidecar_records_its_scenario_seed_and_generator(tmp_path, argv, seeded, extra):
+    assert run([*argv, "--out-dir", str(tmp_path)]) == 0
+    sidecars = sorted(tmp_path.glob("*.meta.json"))
+    assert len(sidecars) == len(list(tmp_path.glob("*.csv"))) == (2 if "--density-out" in argv else 1)
+    for path in sidecars:
+        meta = meta_without_timestamp(path)
+        assert sorted(meta) == sorted(["scenario", "parameters", "seed", "generator", "version", *extra])
+        assert meta["scenario"] == argv[0] and meta["version"] == __version__
+        assert (meta["seed"], meta["generator"]) == ((3, GENERATOR_NAME) if seeded else (None, None))
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("FOCKFIELD_OUT_DIR", str(tmp_path))
     assert run(["entangle", "--overlap-a", "0", "--overlap-b", "0"]) == 0
@@ -340,7 +360,8 @@ def past_bound(param, bound, step):
 
 def bad_values(param):
     """The rule's bad values for the type, then the value just past each declared bound."""
-    values = ["-1"] if param.type is int else ["nan", "inf"] if param.type is float else ["", "nan,1", "1,inf"]
+    values = (["-1"] if param.type is int else ["nan", "inf", "-inf"] if param.type is float
+              else ["", "nan,1", "1,inf", "1,-inf"])
     return values + [past_bound(param, bound, step) for bound, step in declared_bounds(param)]
 
 
@@ -498,6 +519,11 @@ def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     (["causality", "--dts", "1e308", "--separations", "1"], ["dts"]),
     (["entangle", "--overlap-a", "1", "--overlap-b", "-1"], ["overlap_a", "overlap_b"]),
     (["entangle", "--overlap-a", "-1", "--overlap-b", "1"], ["overlap_a", "overlap_b"]),
+    (["wavepacket", "--dx", "1e200", "--sigma0", "2e200"], ["sigma0", "dx"]),
+    (["wavepacket", "--M", "512", "--dx", "1e152", "--sigma0", "2e152"], ["sigma0", "dx"]),
+    (["wavepacket", "--dx", "1e-320", "--sigma0", "2e-320"], ["sigma0", "dx"]),
+    (["wavepacket", "--dx", "1e-156", "--sigma0", "2e-156"], ["sigma0", "dx"]),
+    (["causality", "--M", "64", "--mass", "1e150", "--dx", "1e200"], ["mass", "dx", "M 64"]),
 ])
 def test_non_finite_phases_and_lattice_edges_exit_2_naming_the_parameter(tmp_path, argv, names):
     # in-process, where every warning is an error, as under python -W error
@@ -507,6 +533,32 @@ def test_non_finite_phases_and_lattice_edges_exit_2_naming_the_parameter(tmp_pat
     assert all(name in err for name in names), err
     assert "Traceback" not in err and "Warning" not in err and "numpy" not in err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+EDGE_FLOATS = ["-0.0", "5e-324", "-5e-324", "1e-300", "1e200", "1e308", "-1e308"]
+EDGE_PARTNERS = {"dts": ["--separations", "1"], "separations": ["--dts", "0"]}  # given together or not at all
+EDGE_CASES = [
+    pytest.param(scenario, name, value, id=f"{scenario}-{name}-{value}")
+    for scenario, table in PARAMETERS.items()
+    for name, param in table.items()
+    if param.type is not int
+    for value in EDGE_FLOATS
+]
+
+
+@pytest.mark.parametrize("scenario, name, value", EDGE_CASES)
+def test_edge_floats_run_or_exit_2_with_one_error_line(tmp_path, scenario, name, value):
+    # each float parameter, and each list parameter as a one-entry list, alone at an edge of the doubles
+    out_dir = tmp_path / "out"
+    argv = [scenario, "--out-dir", str(out_dir), f"--{name.replace('_', '-')}={value}", *EDGE_PARTNERS.get(name, [])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = call_in_process(argv)
+    assert rc in (0, 2), err
+    assert "Traceback" not in err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    if rc == 2:
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 @pytest.mark.parametrize("argv, message", [
