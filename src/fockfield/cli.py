@@ -26,6 +26,7 @@ import configparser
 import functools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -86,23 +87,19 @@ LADDER_TOL = 1e-12  # largest ladder-relation residual fock-check and verify eq3
 
 
 def _parse_times(text: str):
-    """'start:stop:step' inclusive range, or a comma/space separated list.
-
-    A range that parses but is unusable raises ArgumentTypeError, whose
-    reason argparse prints as it is.
-    """
+    """'start:stop:step' inclusive range, or a comma/space separated list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise argparse.ArgumentTypeError(f"times must be start:stop:step, got {text!r}")
+            raise ValueError(f"times must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
         if not np.all(np.isfinite([start, stop, step])):
-            raise argparse.ArgumentTypeError(f"times must be finite, got {text!r}")
+            raise ValueError(f"times must be finite, got {text!r}")
         if step <= 0:
-            raise argparse.ArgumentTypeError("times step must be positive")
+            raise ValueError("times step must be positive")
         count = (stop - start) / step  # inf if the span overflows
         if count >= MAX_TIME_SAMPLES:
-            raise argparse.ArgumentTypeError(f"times {text!r} has more than {MAX_TIME_SAMPLES} samples")
+            raise ValueError(f"times {text!r} has more than {MAX_TIME_SAMPLES} samples")
         n = int(round(count))
         return [start + k * step for k in range(n + 1) if start + k * step <= stop + 1e-12]
     return _parse_float_list(text)
@@ -158,16 +155,18 @@ PARAMETERS = {
 }
 
 
-def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
-    """Resolve PARAMETERS[scenario]: explicit flag > config file entry > default.
+def _merged_params(args: argparse.Namespace) -> dict:
+    """Resolve PARAMETERS[args.scenario]: explicit flag > config file entry > default.
 
     A key in the scenario's config section that names none of its
     parameters is a ValueError naming the key ([DEFAULT] keys are shared by
-    every section, so they are not checked).  Every resolved value then
+    every section, so they are not checked).  Only here is a flag's or an
+    entry's text cast, so both fail alike.  Every resolved value then
     passes one rule, or a ValueError names it: a list is non-empty, a float
     or list entry is finite, and the value or each entry lies within the
     parameter's bounds (a None default means "not given" and is left alone).
     """
+    scenario = args.scenario
     file_values = {}
     if args.config:
         if not os.path.exists(args.config):
@@ -182,15 +181,13 @@ def _merged_params(args: argparse.Namespace, scenario: str) -> dict:
                 raise ValueError(f"{', '.join(unknown)}: not a parameter of {scenario} (known: {', '.join(known)})")
     params = {}
     for name, (caster, default, _, lo, hi) in PARAMETERS[scenario].items():
-        value = getattr(args, name)
-        key = name.lower()  # configparser lowercases option names
-        if value is None and key in file_values:
-            try:
-                value = caster(file_values[key])
-            except (ValueError, argparse.ArgumentTypeError) as err:
-                raise ValueError(f"{name}: {err}") from None
-        elif value is None:
-            value = default
+        text = getattr(args, name)
+        if text is None:
+            text = file_values.get(name.lower())  # configparser lowercases option names
+        try:
+            value = default if text is None else caster(text)
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
         params[name] = value
         if value is None:
             continue
@@ -212,6 +209,15 @@ def _out_path(args, filename: str) -> str:
     return os.path.join(base, filename)
 
 
+def _file_path(args, filename: str, name: str) -> str:
+    """_out_path for a file name the user gave as option ``name``, which must name a file: a
+    ValueError names the option when the path is empty, ends in a separator or is a directory."""
+    path = _out_path(args, filename)
+    if os.path.basename(path) in ("", os.curdir, os.pardir) or os.path.isdir(path):
+        raise ValueError(f"{name} must name a file, got {filename!r}")
+    return path
+
+
 def _write_table(args, filename: str, header, rows, params: dict, note: str = "", **extra):
     """Write a scenario's CSV and its sidecar, then print ``wrote <path>`` and `` (<note>)`` if
     given.  The sidecar names args.scenario and records params, the extra entries, and the seed
@@ -229,7 +235,7 @@ def _write_table(args, filename: str, header, rows, params: dict, note: str = ""
 
 
 def run_fock_check(args) -> int:
-    p = _merged_params(args, "fock-check")
+    p = _merged_params(args)
     spaces = [ModeSpace(p["modes"], stats, nmax=p["nmax"]) for stats in (Statistics.BOSE, Statistics.FERMI)]
     rows = []
     worst = 0.0
@@ -322,11 +328,11 @@ def run_wick(args) -> int:
             text = handle.read().strip()
     else:
         raise ValueError("wick needs --expr or --file")
+    path = None if args.out is None else _file_path(args, args.out, "out")
     nf = normal_order(parse_expr(text))
     rendered = str(nf)
     print(rendered)
-    if args.out is not None:
-        path = _out_path(args, args.out)
+    if path is not None:
         artifacts.write_text(path, rendered + "\n")
         artifacts.write_metadata(path, "wick", {"expr": text})
     return 0
@@ -346,11 +352,11 @@ def _lattice(p: dict, dispersion: Dispersion) -> LatticeSpec:
 
 
 def run_causality(args) -> int:
-    p = _merged_params(args, "causality")
+    p = _merged_params(args)
     lattice = _lattice(p, Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")
-    # read before the sweep, so that a frequency that is not finite is reported as such, not as a phase
+    # read before the sweep, so that a frequency that is not finite or underflows keeps its own message
     k0_excluded = bool(np.any(lattice.frequencies == 0))
     if p["dts"] is not None:
         pairs = [(dt, dx) for dt in p["dts"] for dx in p["separations"]]
@@ -374,7 +380,14 @@ def run_causality(args) -> int:
 
 
 def run_wavepacket(args) -> int:
-    p = _merged_params(args, "wavepacket")
+    p = _merged_params(args)
+    if args.density_out is not None:
+        trajectory_files, density_files = (
+            {os.path.abspath(q) for q in (path, artifacts.metadata_path(path))}
+            for path in (_out_path(args, "wavepacket.csv"), _file_path(args, args.density_out, "density_out"))
+        )
+        if trajectory_files & density_files:
+            raise ValueError(f"density_out must not overwrite wavepacket.csv or its sidecar, got {args.density_out!r}")
     lattice = _lattice(p, Dispersion.NONRELATIVISTIC)
     packet = gaussian_packet(lattice, p["x0"], p["p0"], p["sigma0"], p["chirp"])
     records = trajectory(packet, p["times"], lattice)
@@ -391,7 +404,7 @@ def run_wavepacket(args) -> int:
 
 
 def run_entangle(args) -> int:
-    p = _merged_params(args, "entangle")
+    p = _merged_params(args)
     if p["overlap_a"] * p["overlap_b"] == -1:  # phi2⊗psi2 = −phi1⊗psi1, so the pair sums to zero
         raise ValueError(f"overlap_a {p['overlap_a']!r} and overlap_b {p['overlap_b']!r} make the two terms cancel")
     phi1, psi1 = np.array([1.0, 0.0]), np.array([1.0, 0.0])
@@ -410,7 +423,7 @@ def run_entangle(args) -> int:
 
 
 def run_measure(args) -> int:
-    p = _merged_params(args, "measure")
+    p = _merged_params(args)
     weights = np.asarray(p["weights"], dtype=float)
     if abs(weights.sum() - 1.0) > TRACE_TOL:  # the decohered state's trace check
         raise ValueError(f"weights must sum to 1 within {TRACE_TOL:g}, got {float(weights.sum())!r}")
@@ -614,11 +627,15 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {}
     for scenario, help_text in SCENARIOS.items():
         p = commands[scenario] = sub.add_parser(scenario, help=help_text)
+        # argparse takes a flag's value only if it does not look like an option, and it counts only -N
+        # and -N.N as negative numbers.  No public setting widens that private pattern to -1e-3, -.5e1,
+        # -inf and -nan; no option here starts that way.
+        p._negative_number_matcher = re.compile(r"-(?:[\d.]|inf|nan).*", re.IGNORECASE | re.DOTALL)
         p.add_argument("--out-dir", default=None, help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
         if scenario in PARAMETERS:
             p.add_argument("--config", default=None, help="INI config file with one section per scenario")
             for name, param in PARAMETERS[scenario].items():
-                p.add_argument("--" + name.replace("_", "-"), dest=name, type=param.type, help=param.help)
+                p.add_argument("--" + name.replace("_", "-"), dest=name, help=param.help)
 
     commands["wick"].add_argument("--expr", help="expression, e.g. 'bose: a(x1) a+(x2)'")
     commands["wick"].add_argument("--file", help="read the expression from a file")

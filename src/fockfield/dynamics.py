@@ -78,9 +78,8 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
     half = lattice.length / 2
     seam_distance = half - abs(x0)
     if seam_distance < 8 * sigma0:
-        raise SeamError(
-            f"packet at x0={x0} is {seam_distance:g} from the seam; need >= {8 * sigma0:g}"
-        )
+        raise SeamError(f"packet at x0 {x0!r} is within 8 sigma0 of the seam at sigma0 {sigma0!r}, "
+                        f"M {lattice.num_sites!r}, dx {lattice.spacing!r}")
     x = lattice.positions
     with np.errstate(all="ignore"):  # a term that is not finite is reported below
         d2 = (x - x0) ** 2

@@ -87,13 +87,18 @@ class LatticeSpec:
         square underflows to 0 (m below about 1.6e-162); such entries must
         be excluded from measure-weighted sums (infrared cutoff).  Raises
         ValueError when some ω is not finite: m² overflows, or Δx is so
-        small that the momenta do.
+        small that the momenta do; and when some ω other than k = 0 is 0:
+        m² and p_eff² both underflow, as at m = 0, Δx = 1e200, so a sum
+        without the ω = 0 modes would silently drop them.
         """
         with np.errstate(all="ignore"):  # an overflow is reported below, not as a numpy warning
             p_eff = (2.0 / self.spacing) * np.sin(self.momenta * self.spacing / 2.0)
             w = np.sqrt(np.float64(self.mass) ** 2 + p_eff**2)  # the float's own ** raises OverflowError
         if not np.isfinite(w).all():
             raise ValueError(f"the mode frequencies are not finite at mass {self.mass!r}, dx {self.spacing!r}")
+        if np.any(np.delete(w, self.num_sites // 2) == 0):  # k = 0 sits at index M/2
+            raise ValueError(f"a mode frequency other than k = 0 underflows to 0 at mass {self.mass!r}, "
+                             f"dx {self.spacing!r}")
         return w
 
 

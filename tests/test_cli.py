@@ -6,11 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fockfield import __version__, artifacts, cli, fock
 from fockfield.cli import MAX_PAIRS, PARAMETERS, SCENARIOS, build_parser, main
@@ -411,7 +414,7 @@ def test_merged_params_accepts_each_bound_and_rejects_the_value_past_it(tmp_path
     def merged(text, by_config):
         config.write_text(f"[{scenario}]\n{name} = {text}\n")
         flags = ["--config", str(config)] if by_config else ["--" + name.replace("_", "-") + "=" + text]
-        return cli._merged_params(build_parser().parse_args([scenario, *flags]), scenario)[name]
+        return cli._merged_params(build_parser().parse_args([scenario, *flags]))[name]
 
     for by_config in (False, True):
         value = merged(str(bound), by_config)
@@ -561,10 +564,127 @@ def test_edge_floats_run_or_exit_2_with_one_error_line(tmp_path, scenario, name,
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def edge_texts(name, param):
+    """The values an example of several parameters draws for one parameter: an int's lo, lo + 1 and
+    hi, except the hi of M and pairs (one run there takes 15-30 s or 6.4 s); a float's or a
+    one-entry list's edge floats and declared bounds."""
+    if param.type is int:
+        lo = 0 if param.lo is None else param.lo
+        return [str(lo), str(lo + 1)] + ([] if param.hi is None or name in ("M", "pairs") else [str(param.hi)])
+    return EDGE_FLOATS + [str(bound) for bound in (param.lo, param.hi) if bound is not None]
+
+
+@st.composite
+def several_edge_parameters(draw):
+    """argv of one scenario with 2 or 3 of its parameters at edge values, each as --name value."""
+    scenario = draw(st.sampled_from(sorted(PARAMETERS)))
+    table = PARAMETERS[scenario]
+    names = draw(st.lists(st.sampled_from(sorted(table)), min_size=2, max_size=min(3, len(table)), unique=True))
+    argv = [scenario]
+    for name in names:
+        argv += ["--" + name.replace("_", "-"), draw(st.sampled_from(edge_texts(name, table[name])))]
+    for name, partner in EDGE_PARTNERS.items():
+        if name in names and partner[0].removeprefix("--") not in names:
+            argv += partner
+    if scenario == "causality" and "M" not in names:
+        argv += ["--M", "64"]  # the default grid costs about 0.3 s a run
+    return argv
+
+
+@settings(max_examples=350, derandomize=True, database=None, deadline=None)
+@example(["causality", "--dx", "1e200", "--mass", "0"])  # every p_eff² underflows, so every frequency is 0
+@given(several_edge_parameters())
+def test_several_edge_parameters_run_or_exit_2_with_one_error_line(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = pathlib.Path(tmp) / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = call_in_process([*argv, "--out-dir", str(out_dir)])
+        assert rc in (0, 2), err
+        assert "Traceback" not in err
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+        if rc == 2:
+            assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["causality", "--dx", "1e200", "--mass", "0"], ["mass 0.0", "dx 1e+200"]),
+    (["causality", "--dx", "1e200", "--mass", "5e-324"], ["mass 5e-324", "dx 1e+200"]),
+    (["causality", "--dx", "1e200", "--mass", "1e-300"], ["mass 1e-300", "dx 1e+200"]),
+    (["causality", "--dx", "1e200", "--mass", "0", "--dts", "0", "--separations", "1"], ["mass 0.0", "dx 1e+200"]),
+    (["causality", "--M", "64", "--dx", "1e162", "--mass", "0"], ["mass 0.0", "dx 1e+162"]),
+    (["wavepacket", "--density-out", "wavepacket.csv"], ["density_out"]),
+    (["wavepacket", "--density-out", "wavepacket.txt"], ["density_out"]),
+    (["wavepacket", "--density-out", "wavepacket.meta.json"], ["density_out"]),
+    (["wavepacket", "--density-out", ""], ["density_out"]),
+    (["wavepacket", "--density-out", "sub/"], ["density_out"]),
+    (["wavepacket", "--density-out", "/"], ["density_out"]),
+    (["wick", "--expr", "bose: a(x) a+(y)", "--out", ""], ["out"]),
+    (["wick", "--expr", "bose: a(x) a+(y)", "--out", "/"], ["out"]),
+    (["wavepacket", "--M", "8"], ["x0 0.0", "sigma0 8.0", "M 8", "dx 1.0"]),
+    (["wavepacket", "--dx", "1e-300"], ["x0 0.0", "sigma0 8.0", "M 256", "dx 1e-300"]),
+    (["wavepacket", "--sigma0", "1e308"], ["x0 0.0", "sigma0 1e+308", "M 256", "dx 1.0"]),
+])
+def test_inputs_of_several_parameters_exit_2_naming_them(tmp_path, argv, names):
+    rc, out, err = call_in_process([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in names), err
+    assert "Traceback" not in err and "Warning" not in err and ".tmp" not in err and "inf" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_density_out_beside_the_trajectory_is_written(tmp_path):
+    argv = ["wavepacket", "--out-dir", str(tmp_path), "--M", "64", "--sigma0", "2", "--times", "0:1:0.5"]
+    assert run([*argv, "--density-out", "density.csv"]) == 0
+    assert run([*argv, "--density-out", "sub/d.csv"]) == 0
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*")) == [
+        "density.csv", "density.meta.json", "sub/d.csv", "sub/d.meta.json", "wavepacket.csv", "wavepacket.meta.json"]
+    assert read(tmp_path / "wavepacket.csv").startswith(",".join(cli.TrajectoryRecord.CSV_HEADER))
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["wavepacket"], "--chirp", "-1e-3"),
+    (["wavepacket"], "--x0", "-2E1"),
+    (["wavepacket"], "--x0", "-.5e1"),
+    (["wavepacket"], "--chirp", "-inf"),
+    (["wavepacket"], "--p0", "-NaN"),
+    (["causality", "--M", "64", "--separations", "1"], "--dts", "-1e-3,0"),
+])
+def test_a_negative_value_in_exponent_form_reads_as_the_flag_value(tmp_path, argv, flag, value):
+    spaced, joined = run_steps(call_in_process, [[*argv, flag, value], [*argv, f"{flag}={value}"]], tmp_path)
+    assert spaced == joined
+    assert spaced[0] in (0, 2) and "expected one argument" not in spaced[2]
+
+
+def test_a_flag_is_still_no_value(tmp_path):
+    rc, out, err = call_in_process(["wavepacket", "--out-dir", str(tmp_path), "--x0", "--chirp", "1"])
+    assert rc == 2
+    assert err.endswith("error: argument --x0: expected one argument\n")
+
+
+ONE_MESSAGE_CASES = PARAMETER_CASES + [
+    pytest.param("causality", "dts", "abc", id="causality-dts-abc"),
+    pytest.param("fock-check", "modes", "x", id="fock-check-modes-x"),
+    pytest.param("wavepacket", "times", "0:1:0", id="wavepacket-times-0:1:0"),
+]
+
+
+@pytest.mark.parametrize("scenario, name, value", ONE_MESSAGE_CASES)
+def test_a_bad_value_gives_one_message_by_flag_or_config_key(tmp_path, capsys, scenario, name, value):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[{scenario}]\n{name} = {value}\n")
+    assert run([scenario, "--out-dir", str(tmp_path / "out"), f"--{name.replace('_', '-')}={value}"]) == 2
+    by_flag = capsys.readouterr()
+    assert run([scenario, "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    assert capsys.readouterr() == by_flag
+    assert by_flag.err.startswith(f"error: {name}") and by_flag.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["causality", "--dts", "1"], "error: --dts and --separations must be given together\n"),
     (["wick"], "error: wick needs --expr or --file\n"),
-    (["wavepacket", "--times", "1:2"], "error: argument --times: times must be start:stop:step, got '1:2'\n"),
+    (["wavepacket", "--times", "1:2"], "error: times: times must be start:stop:step, got '1:2'\n"),
 ])
 def test_incomplete_arguments_exit_2(tmp_path, argv, message):
     rc, out, err = call_in_process([*argv, "--out-dir", str(tmp_path / "out")])
@@ -581,16 +701,13 @@ def test_times_range_is_bounded(tmp_path, capsys):
         ("0:inf:1", "times must be finite"),
         ("0:1:0", "times step must be positive"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            run(["wavepacket", "--out-dir", str(tmp_path), f"--times={text}"])
-        assert exc.value.code == 2
-        flag_err = capsys.readouterr().err.splitlines()[-1]
+        assert run(["wavepacket", "--out-dir", str(tmp_path), f"--times={text}"]) == 2
+        flag_err = capsys.readouterr().err
         config.write_text(f"[wavepacket]\ntimes = {text}\n")
         assert run(["wavepacket", "--out-dir", str(tmp_path), "--config", str(config)]) == 2
         config_err = capsys.readouterr().err
         assert reason in config_err
-        # the flag gives the reason the config file gives
-        assert flag_err.split("error: argument --times: ")[1] == config_err.removeprefix("error: times: ").rstrip("\n")
+        assert flag_err == config_err  # the flag gives the message the config file gives
     assert not (tmp_path / "wavepacket.csv").exists()
 
 

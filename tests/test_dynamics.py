@@ -77,6 +77,18 @@ def test_gaussian_packet_validation():
         gaussian_packet(LAT, 120.0, 0.0, 8.0)  # too close to the seam
 
 
+@pytest.mark.parametrize("lattice, sigma0, names", [
+    (LatticeSpec(8, 1.0, 1.0), 8.0, ["x0 0.0", "sigma0 8.0", "M 8", "dx 1.0"]),
+    (LatticeSpec(256, 1e-300, 1.0), 8.0, ["x0 0.0", "sigma0 8.0", "M 256", "dx 1e-300"]),
+    (LAT, 1e308, ["x0 0.0", "sigma0 1e+308", "M 256", "dx 1.0"]),
+])
+def test_seam_error_of_the_packet_names_x0_sigma0_and_the_lattice(lattice, sigma0, names):
+    with pytest.raises(SeamError) as err:
+        gaussian_packet(lattice, 0.0, 0.0, sigma0)
+    assert all(name in str(err.value) for name in names), err.value
+    assert "inf" not in str(err.value)  # 8 sigma0 overflows at sigma0 1e308
+
+
 def test_evolve_t0_is_identity():
     f = gaussian_packet(LAT, 0.0, 0.5, 8.0)
     g = evolve(f, 0.0, LAT)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,19 @@ def test_massless_excludes_zero_mode():
     lat = LatticeSpec(64, 0.25, 0.0, Dispersion.RELATIVISTIC)
     val = pauli_jordan(lat, 0.0, 0.5, True)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+@pytest.mark.parametrize("M, spacing, mass", [(512, 1e200, 0.0), (512, 1e200, 5e-324), (64, 1e162, 0.0)])
+def test_frequencies_that_underflow_away_from_k0_raise(M, spacing, mass):
+    # every p_eff² (or, at M 64 and dx 1e162, 36 of the 63 at k != 0) underflows, so those modes have ω = 0
+    lat = LatticeSpec(M, spacing, mass, Dispersion.RELATIVISTIC)
+    message = "^" + re.escape(f"a mode frequency other than k = 0 underflows to 0 at mass {mass!r}, dx {spacing!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        lat.frequencies
+    with pytest.raises(ValueError, match=message):
+        pauli_jordan(lat, 0.0, spacing)
+    with pytest.raises(ValueError, match=message):
+        commutator_sweep(lat, [(0.0, spacing)])
 
 
 def test_spacelike_sweep_bounds():
