@@ -158,9 +158,10 @@ PARAMETERS = {
 def _merged_params(args: argparse.Namespace) -> dict:
     """Resolve PARAMETERS[args.scenario]: explicit flag > config file entry > default.
 
-    A key in the scenario's config section that names none of its
-    parameters is a ValueError naming the key ([DEFAULT] keys are shared by
-    every section, so they are not checked).  Only here is a flag's or an
+    A config file that cannot be read or parsed is a one-line ValueError
+    starting ``config:``.  A key in the scenario's config section that names
+    none of its parameters is a ValueError naming the key ([DEFAULT] keys
+    are shared by every section, so they are not checked).  Only here is a flag's or an
     entry's text cast, so both fail alike.  Every resolved value then
     passes one rule, or a ValueError names it: a list is non-empty, a float
     or list entry is finite, and the value or each entry lies within the
@@ -169,12 +170,17 @@ def _merged_params(args: argparse.Namespace) -> dict:
     scenario = args.scenario
     file_values = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise ValueError(f"config file not found: {args.config}")
         ini = configparser.ConfigParser()
-        ini.read(args.config)
-        if ini.has_section(scenario):
-            file_values = dict(ini.items(scenario))
+        try:
+            with open(args.config) as handle:
+                ini.read_file(handle)
+            if ini.has_section(scenario):
+                file_values = dict(ini.items(scenario))  # interpolates, so '%' errors surface here
+        except (OSError, UnicodeError, configparser.Error) as err:
+            key = f"{err.option}: " if isinstance(err, configparser.InterpolationError) else ""
+            # one line, though some of configparser's messages span several
+            raise ValueError(f"config: {key}" + " ".join(str(err).split())) from None
+        if file_values:
             known = [name.lower() for name in PARAMETERS[scenario]]  # configparser lowercases option names
             unknown = sorted(set(file_values) - set(known) - set(ini.defaults()))
             if unknown:

@@ -13,18 +13,22 @@ expectation value.
 All operations are pure: they return new FockVector instances and never
 mutate their arguments.
 
-The ``amplitudes`` dict is the stored form of every state.  Most
-operations walk it directly, which is fastest for the few-component
-states of the CLI.  Two operations switch to numpy array kernels once the
-work reaches ``ARRAY_CUTOFF``: ``transformed_create`` (input components ×
-nonzero coefficients), which adds the modes' contributions in one numpy
-round per mode, in the loop's order, and ``number_expectation``
-(components), which reads an occupation matrix and an |amplitude|² vector
-cached on the state.  The
-``transformed_create`` kernel returns the same dict as the loop, in keys,
-insertion order and amplitude bits; the ``number_expectation`` kernel
-sums pairwise, so it agrees with the loop to rounding.  Every state the
-CLI builds is below the cutoff.
+A state stored as a dict is dict-born: ``amplitudes`` maps occupation
+tuples to amplitudes and every operation walks it, which is fastest for
+the few-component states of the CLI.  A state that an array kernel
+builds is array-born: its stored form is an occupation row matrix, a
+value array and the amplitudes' type, and its ``amplitudes`` dict is
+built from them, in row order, only when something reads it.  The
+kernels run once the work reaches ``ARRAY_CUTOFF``:
+``transformed_create`` (input components × nonzero coefficients) adds
+the modes' contributions in one numpy round per mode, in the loop's
+order; ``create`` and ``annihilate`` (components of an array-born input)
+keep and scale the rows the loop keeps; ``number_expectation``
+(components) reduces the occupation matrix and an |amplitude|² vector
+cached on the state.  The dict built from a kernel's result equals the
+loop's in keys, insertion order, amplitude bits and types; the
+``number_expectation`` kernel sums pairwise, so it agrees with the loop
+to rounding.  Every state the CLI builds is below the cutoff.
 """
 
 from __future__ import annotations
@@ -43,14 +47,19 @@ NORM_TOL = 1e-8
 # which the array kernels beat the dict loops.
 ARRAY_CUTOFF = 256
 
-# Rows per chunk when the transformed_create kernel turns its arrays into
-# dict entries; bounds the kernel's short-lived temporaries.
+# Rows per chunk when an array-born state's dict is built; bounds the
+# builder's short-lived lists.
 _DICT_CHUNK = 4096
 
 
 class Statistics(Enum):
     BOSE = "bose"
     FERMI = "fermi"
+
+
+# Read on every ladder step: under CPython 3.11 a module global costs about
+# 20 ns, the class attribute Statistics.FERMI about 150 ns.
+_FERMI = Statistics.FERMI
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class ModeSpace:
 
     @property
     def occupation_cap(self) -> int:
-        return 1 if self.statistics is Statistics.FERMI else self.nmax
+        return 1 if self.statistics is _FERMI else self.nmax
 
     def slot(self, mode: int, species: int = 0) -> int:
         if not 0 <= mode < self.num_modes:
@@ -100,9 +109,16 @@ class ModeSpace:
 class FockVector:
     """Sparse Fock-space vector: occupation tuple → complex amplitude.
 
-    The empty map is the null element.  Treat instances as immutable: the
-    norm and the kernels' occupation matrix and |amplitude|² vector are
-    cached on the instance, and nothing invalidates them.
+    The empty map is the null element.  A dict-born state is constructed
+    with its ``amplitudes``.  An array-born state (made by ``_array_state``)
+    stores ``_rows``, one occupation row per component, ``_values``, their
+    amplitudes, and ``_kind``, the amplitudes' type (complex or
+    np.complex128); its ``amplitudes`` dict is built on the first read
+    (``_BuiltOnFirstRead``), after which it is an ordinary instance
+    attribute.  Treat instances as
+    immutable: the dict, the norm and the kernels' occupation matrix and
+    |amplitude|² vector are cached on the instance, and nothing
+    invalidates them.
     """
 
     mode_space: ModeSpace
@@ -110,16 +126,20 @@ class FockVector:
     _norm: object = field(default=None, init=False, compare=False, repr=False)
     _occupations: object = field(default=None, init=False, compare=False, repr=False)
     _weights: object = field(default=None, init=False, compare=False, repr=False)
+    # the stored form of an array-born state; class-level None on a dict-born one
+    _rows = None
+    _values = None
+    _kind = None
 
     @property
     def norm(self) -> float:
         if self._norm is None:
-            self._norm = float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+            self._norm = float(np.sqrt(sum(abs(a) ** 2 for a in _amplitude_values(self))))
         return self._norm
 
     @property
     def is_null(self) -> bool:
-        return not self.amplitudes
+        return _size(self) == 0
 
     def amplitude(self, occupations) -> complex:
         return self.amplitudes.get(tuple(occupations), 0.0 + 0.0j)
@@ -158,6 +178,67 @@ class FockVector:
         return FockVector(self.mode_space, {k: scalar * v for k, v in self.amplitudes.items()})
 
 
+class _BuiltOnFirstRead:
+    """The ``amplitudes`` of an array-born FockVector, built from its arrays on the first read.
+
+    A non-data descriptor: the dict it stores, like a dict-born state's
+    own, is an ordinary entry of the instance ``__dict__``, which attribute
+    lookup reads before it comes here.  Under CPython 3.11 it adds about
+    30 ns to each ``.amplitudes`` read of a dict-born state.  A
+    ``__getattr__`` on FockVector slowed every attribute read of every
+    state instead, and numpy's probes of a FockVector operand for
+    ``__array__`` and the like (a small ``transformed_create`` took twice
+    as long); a property would make each read a call, and a traced span.
+    """
+
+    def __get__(self, v, owner=None):
+        if v is None:
+            return self
+        amplitudes = v.__dict__["amplitudes"] = _amplitude_dict(v._rows, v._values, v._kind)
+        return amplitudes
+
+
+# after the dataclass decorator, which would read a class attribute as the field's default
+FockVector.amplitudes = _BuiltOnFirstRead()
+
+
+def _array_state(space: ModeSpace, rows: np.ndarray, values: np.ndarray, kind) -> FockVector:
+    """An array-born state: occupation rows, their amplitudes, the amplitudes' type."""
+    v = object.__new__(FockVector)
+    v.mode_space = space
+    v._rows, v._values, v._kind = rows, values, kind
+    return v
+
+
+def _amplitude_dict(rows: np.ndarray, values: np.ndarray, kind) -> dict:
+    """{occupation tuple: amplitude of type kind}, in row order, built _DICT_CHUNK rows at a time."""
+    amplitudes: dict = {}
+    for lo in range(0, len(rows), _DICT_CHUNK):
+        hi = lo + _DICT_CHUNK
+        chunk = values[lo:hi].tolist() if kind is complex else values[lo:hi]
+        amplitudes.update(zip(zip(*rows[lo:hi].T.tolist()), chunk))
+    return amplitudes
+
+
+def _size(v: FockVector) -> int:
+    """Number of components, without building an array-born state's dict."""
+    return len(v.amplitudes) if v._values is None else len(v._values)
+
+
+def _amplitude_values(v: FockVector):
+    """The amplitudes in order, each of the type the dict holds."""
+    if v._values is None:
+        return v.amplitudes.values()
+    return v._values.tolist() if v._kind is complex else v._values
+
+
+def _value_array(v: FockVector) -> np.ndarray:
+    """The amplitudes in order as a complex array."""
+    if v._values is None:
+        return np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
+    return v._values
+
+
 def _check_same_space(u: FockVector, v: FockVector):
     if u.mode_space != v.mode_space:
         raise ValueError("FockVectors live in different mode spaces")
@@ -174,11 +255,17 @@ def vacuum(mode_space: ModeSpace) -> FockVector:
 
 
 def basis_state(mode_space: ModeSpace, occupations) -> FockVector:
-    occ = tuple(int(n) for n in occupations)
+    given = tuple(occupations)
+    try:
+        occ = tuple(map(int, given))
+    except (ValueError, OverflowError):  # nan, inf
+        occ = None
+    if occ != given:  # also a value such as 1.5, which int() would truncate
+        raise ValueError(f"occupations must be integers, got {given!r}")
     if len(occ) != mode_space.num_slots:
         raise ValueError("occupation tuple has wrong length")
     cap = mode_space.occupation_cap
-    if any(n < 0 or n > cap for n in occ):
+    if min(occ) < 0 or max(occ) > cap:
         raise ValueError(f"occupations must lie in [0, {cap}]")
     return FockVector(mode_space, {occ: 1.0 + 0.0j})
 
@@ -198,7 +285,11 @@ def create(v: FockVector, mode: int, species: int = 0) -> FockVector:
     """
     space = v.mode_space
     slot = space.slot(mode, species)
-    fermi = space.statistics is Statistics.FERMI
+    if v._values is not None and len(v._values) >= ARRAY_CUTOFF:
+        out = _ladder_kernel(v, slot, 1)
+        if out is not None:
+            return out
+    fermi = space.statistics is _FERMI
     out: dict = {}
     for occ, amp in v.amplitudes.items():
         n = occ[slot]
@@ -226,7 +317,11 @@ def annihilate(v: FockVector, mode: int, species: int = 0) -> FockVector:
     """
     space = v.mode_space
     slot = space.slot(mode, species)
-    fermi = space.statistics is Statistics.FERMI
+    if v._values is not None and len(v._values) >= ARRAY_CUTOFF:
+        out = _ladder_kernel(v, slot, -1)
+        if out is not None:
+            return out
+    fermi = space.statistics is _FERMI
     out: dict = {}
     for occ, amp in v.amplitudes.items():
         n = occ[slot]
@@ -242,6 +337,40 @@ def annihilate(v: FockVector, mode: int, species: int = 0) -> FockVector:
     return FockVector(space, out)
 
 
+def _ladder_kernel(v: FockVector, slot: int, step: int):
+    """create (step 1) or annihilate (step -1) on an array-born state, as the loop.
+
+    Keeps the rows the loop keeps, in order, with step added in the slot,
+    and scales both parts of each amplitude by s = √(n+1), √n or the
+    Jordan-Wigner sign.  For a finite amplitude that is the loop's
+    ``0.0 + amp * s``: the complex product's cross terms are zeros, and
+    adding 0.0 turns a -0.0 part into +0.0.  As there, an amplitude that
+    comes out exactly zero is dropped.  Returns None, for the loop to run,
+    when an amplitude is not finite (where inf·0 cross terms matter).
+    """
+    values = v._values
+    if not np.all(np.isfinite(values)):
+        return None
+    space, occ = v.mode_space, v._rows
+    n = occ[:, slot]
+    kept = np.flatnonzero(n < space.occupation_cap if step > 0 else n > 0)
+    rows = np.take(occ, kept, axis=0, out=_mapped((len(kept), occ.shape[1]), occ.dtype))
+    rows[:, slot] += step
+    if space.statistics is _FERMI:
+        s = 1.0 - 2.0 * (np.sum(rows[:, :slot], axis=1) % 2)
+    else:
+        s = np.sqrt(n[kept] + (1.0 if step > 0 else 0.0))
+    with np.errstate(over="ignore"):  # the loop's Python complex overflows to inf silently
+        re = values.real[kept] * s + 0.0
+        im = values.imag[kept] * s + 0.0
+    nonzero = (re != 0.0) | (im != 0.0)
+    if not np.all(nonzero):
+        rows, re, im = rows[nonzero], re[nonzero], im[nonzero]
+    out = _mapped(len(rows), complex)
+    out.real, out.imag = re, im
+    return _array_state(space, rows, out, v._kind)
+
+
 def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
     """Creation operator in a rotated single-particle basis.
 
@@ -254,7 +383,7 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
     if coeffs.shape != (space.num_modes,):
         raise ValueError(f"expected {space.num_modes} coefficients, got {coeffs.shape}")
     modes = [mode for mode, c in enumerate(coeffs) if c != 0.0]
-    if len(v.amplitudes) * len(modes) >= ARRAY_CUTOFF:
+    if _size(v) * len(modes) >= ARRAY_CUTOFF:
         out = _transformed_create_kernel(v, coeffs, modes, space.slot(0, species))
         if out is not None:
             return out
@@ -288,12 +417,15 @@ def _occupation_dtype(cap: int):
 def _occupation_matrix(v: FockVector):
     """Occupation rows of v in amplitudes order, cached on v.
 
-    None when a key is not a tuple of num_slots integers in [0, cap]
-    (possible only for a hand-built vector); callers then use the dict loop.
-    The keys are read with numpy's own dtype first, because a cast to the
-    occupation dtype would truncate an entry such as 1.5 silently.
+    An array-born state's are its stored rows.  None when a key is not a
+    tuple of num_slots integers in [0, cap] (possible only for a hand-built
+    vector); callers then use the dict loop.  The keys are read with numpy's
+    own dtype first, because a cast to the occupation dtype would truncate
+    an entry such as 1.5 silently.
     """
-    if v._occupations is None:
+    if v._occupations is None and v._rows is not None:
+        v._occupations = v._rows
+    elif v._occupations is None:
         space = v.mode_space
         cap = space.occupation_cap
         dtype = _occupation_dtype(cap)
@@ -339,22 +471,23 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
 
     The loop's amplitudes stay Python complex when v's are, because numpy
     hands the coefficient to FockVector.__rmul__ as a Python complex; the
-    kernel emits the same type.  Returns None, for the loop to run, when
-    v's keys have no occupation matrix, its amplitudes mix types, or an
-    amplitude or coefficient is not finite (where inf·0 terms matter).
+    kernel's array-born result has the same type.  Returns None, for the
+    loop to run, when v's keys have no occupation matrix, its amplitudes
+    mix types, or an amplitude or coefficient is not finite (where inf·0
+    terms matter).
     """
     space = v.mode_space
     occ = _occupation_matrix(v)
-    kinds = {type(a) for a in v.amplitudes.values()}
+    kinds = {type(a) for a in v.amplitudes.values()} if v._values is None else {v._kind}
     if occ is None or (kinds != {complex} and kinds != {np.complex128}):
         return None
-    amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
+    amps = _value_array(v)
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(coeffs))):
         return None
     cap = space.occupation_cap
     bits = cap.bit_length()
     per_word = 64 // bits
-    fermi = space.statistics is Statistics.FERMI
+    fermi = space.statistics is _FERMI
 
     # Contributions in the loop's order: mode-major, then v's order.  Each
     # is (source row, mode); its key is the source's packed row plus one in
@@ -427,12 +560,7 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     del acc_re, acc_im, present, inserted_by, kept
     rows = np.take(occ, src[idx], axis=0, out=_mapped((len(idx), occ.shape[1]), occ.dtype))
     rows[np.arange(len(rows)), mode_slots[np.searchsorted(bounds, idx, side="right") - 1]] += 1
-    amplitudes: dict = {}
-    for lo in range(0, len(rows), _DICT_CHUNK):
-        hi = lo + _DICT_CHUNK
-        chunk = values[lo:hi].tolist() if kinds == {complex} else values[lo:hi]
-        amplitudes.update(zip(zip(*rows[lo:hi].T.tolist()), chunk))
-    out = FockVector(space, amplitudes)
+    out = _array_state(space, rows, values, kinds.pop())
     out._occupations = rows
     return out
 
@@ -440,12 +568,12 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
 def inner(u: FockVector, v: FockVector) -> complex:
     """⟨u, v⟩, conjugate-linear in the first argument."""
     _check_same_space(u, v)
-    small, big = (u, v) if len(u.amplitudes) <= len(v.amplitudes) else (v, u)
+    a, b = u.amplitudes, v.amplitudes
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
     acc = 0.0 + 0.0j
-    for occ, a in small.amplitudes.items():
-        b = big.amplitudes.get(occ)
-        if b is not None:
-            acc += np.conj(u.amplitudes[occ]) * v.amplitudes[occ]
+    for occ in small:
+        if occ in big:
+            acc += np.conj(a[occ]) * b[occ]
     return complex(acc)
 
 
@@ -469,11 +597,11 @@ def number_expectation(v: FockVector, mode=None, species=None) -> float:
         hi = lo + space.num_modes
     else:
         lo, hi = 0, space.num_slots
-    if len(v.amplitudes) >= ARRAY_CUTOFF:
+    if _size(v) >= ARRAY_CUTOFF:
         occ = _occupation_matrix(v)
         if occ is not None:
             if v._weights is None:
-                amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
+                amps = _value_array(v)
                 v._weights = np.add(amps.real * amps.real, amps.imag * amps.imag, out=_mapped(len(amps), np.float64))
             counts = occ[:, lo] if hi == lo + 1 else np.sum(occ[:, lo:hi], axis=1)
             return float(np.sum(v._weights * counts))

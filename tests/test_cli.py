@@ -265,6 +265,33 @@ def test_config_file_missing_exits_2(tmp_path, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize("scenario, text, reason", [
+    ("wavepacket", "[wavepacket]\nchirp = 5%\n", "chirp: '%' must be followed by"),
+    ("wavepacket", "[wavepacket]\nchirp = 1\nchirp = 2\n", "option 'chirp' in section 'wavepacket' already exists"),
+    ("wavepacket", "chirp = 1\n", "File contains no section headers."),
+    ("entangle", None, "Is a directory"),
+    ("entangle", False, "No such file or directory"),
+], ids=["lone-percent", "key-twice", "no-section", "directory", "missing"])
+def test_unreadable_config_exits_2_with_one_config_line(tmp_path, capsys, scenario, text, reason):
+    config = tmp_path / "run.ini"
+    if text is None:
+        config.mkdir()
+    elif text:
+        config.write_text(text)
+    assert run([scenario, "--out-dir", str(tmp_path / "out"), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_keep_interpolation(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[DEFAULT]\nnote = 100%% of %(who)s\nwho = me\n[entangle]\noverlap_a = 0\n")
+    assert run(["entangle", "--out-dir", str(tmp_path), "--config", str(config)]) == 0
+
+
 def test_verify_all_pass(capsys):
     assert run(["verify"]) == 0
     out = capsys.readouterr().out

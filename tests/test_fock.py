@@ -101,6 +101,20 @@ def test_null_element_distinct_from_vacuum():
     assert inner(null, vacuum(BOSE2)) == 0.0
 
 
+@pytest.mark.parametrize("occupations", [(1.5, 0), (0, 0.5), (math.inf, 0), (0, -math.inf), (math.nan, 0)])
+def test_basis_state_rejects_non_integral_occupations(occupations):
+    # int() would truncate 1.5 to 1 and raise OverflowError on inf
+    with pytest.raises(ValueError, match="occupations"):
+        basis_state(BOSE2, occupations)
+
+
+def test_basis_state_accepts_integral_floats_and_numpy_integers():
+    for occupations in [(1.0, 2.0), (np.int64(1), np.int8(2)), np.array([1, 2]), np.array([1.0, 2.0])]:
+        v = basis_state(BOSE2, occupations)
+        assert exact_items(v) == exact_items(FockVector(BOSE2, {(1, 2): 1 + 0j}))
+        assert all(type(n) is int for n in next(iter(v.amplitudes)))
+
+
 @pytest.mark.parametrize("space", [BOSE2, FERMI2], ids=["bose", "fermi"])
 def test_adjointness_random_vectors(space):
     # <u, A+ v> == <A u, v> checked against sparse random vectors
@@ -542,6 +556,145 @@ def test_kernel_equals_dict_loop_on_keys_of_several_words(space, species, seed):
     kept = [key for key in first if key in got.amplitudes]
     assert len(kept) < len(first)
     assert kept != list(got.amplitudes)
+
+
+# -- ladder operators on array-born states -------------------------------------
+
+
+def array_born(v):
+    """v's components stored as a kernel stores them: occupation rows, values, amplitude type."""
+    (kind,) = {type(a) for a in v.amplitudes.values()}
+    space = v.mode_space
+    rows = np.array(list(v.amplitudes), dtype=fock._occupation_dtype(space.occupation_cap))
+    values = np.array(list(v.amplitudes.values()), dtype=complex)
+    return fock._array_state(space, rows.reshape(len(values), space.num_slots), values, kind)
+
+
+def loop_ladder(kind, v, mode, species=0):
+    with dict_path(), np.errstate(over="ignore"):  # np.complex128 products warn on overflow
+        return getattr(fock, kind)(v, mode, species)
+
+
+# Every basis state of each space (256 of them), so every slot reaches its cap.
+LADDER_SPACES = {
+    "bose": ModeSpace(4, Statistics.BOSE, nmax=3),
+    "bose-2-species": ModeSpace(2, Statistics.BOSE, nmax=3, species_count=2),
+    "fermi": ModeSpace(8, Statistics.FERMI),
+    "fermi-2-species": ModeSpace(4, Statistics.FERMI, species_count=2),
+}
+# Signed zeros, amplitudes of exact zero (dropped), 1e-200 and parts that
+# overflow when scaled by sqrt(n + 1).
+LADDER_PARTS = [0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 1e-200, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("numpy_amplitudes", [False, True], ids=["complex", "complex128"])
+@pytest.mark.parametrize("name", LADDER_SPACES)
+def test_array_born_ladder_equals_dict_loop_bitwise(name, numpy_amplitudes, seed):
+    space = LADDER_SPACES[name]
+    states = list(space.basis_states())
+    assert len(states) == fock.ARRAY_CUTOFF
+    rng = np.random.default_rng(seed)
+    parts = rng.choice(LADDER_PARTS, size=(len(states), 2), p=[0.2, 0.2] + [0.6 / 7] * 7)
+    kind = np.complex128 if numpy_amplitudes else complex
+    v = FockVector(space, {k: kind(complex(re, im)) for k, (re, im) in zip(states, parts.tolist())})
+    a = array_born(v)
+    for species in range(space.species_count):
+        for mode in range(space.num_modes):
+            for op in ("create", "annihilate"):
+                got = getattr(fock, op)(a, mode, species)
+                assert got._values is not None and "amplitudes" not in vars(got)
+                assert exact_items(got) == exact_items(loop_ladder(op, v, mode, species))
+    assert "amplitudes" not in vars(a)
+
+
+@pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["create", "annihilate"])
+def test_array_born_ladder_leaves_non_finite_amplitudes_to_the_loop(kind, part):
+    # complex(inf, 1) * 2.0 has an imaginary part of inf * 0.0 + 2.0 = nan, which
+    # scaling each part alone would miss
+    space = LADDER_SPACES["bose"]
+    v = FockVector(space, {k: complex(1 + i % 3, -1) for i, k in enumerate(space.basis_states())})
+    v.amplitudes[(1, 1, 1, 1)] = complex(part, 1.0)
+    got = getattr(fock, kind)(array_born(v), 0)
+    assert got._values is None
+    assert exact_items(got) == exact_items(loop_ladder(kind, v, 0))
+
+
+def test_array_born_ladder_to_the_null_element():
+    # slot 0 is filled in all 256 states, so no fermion can be created there
+    space = ModeSpace(9, Statistics.FERMI)
+    v = FockVector(space, {k: 1 / 16 + 0j for k in space.basis_states() if k[0] == 1})
+    got = create(array_born(v), 0)
+    assert got._values is not None and got.is_null and got.norm == 0.0
+    assert got == loop_ladder("create", v, 0) == FockVector(space, {})
+
+
+@pytest.mark.parametrize("components, kernel_runs", [(255, False), (256, True)])
+@pytest.mark.parametrize("kind", ["create", "annihilate"])
+def test_array_born_ladder_cutoff_edges(monkeypatch, kind, components, kernel_runs):
+    space = LADDER_SPACES["bose"]
+    keys = list(space.basis_states())[:components]
+    v = FockVector(space, {k: complex(1 + i % 5, i % 3 - 1) for i, k in enumerate(keys)})
+    calls = []
+    kernel = fock._ladder_kernel
+    monkeypatch.setattr(fock, "_ladder_kernel", lambda *a: calls.append(a) or kernel(*a))
+    got = getattr(fock, kind)(array_born(v), 1)
+    assert bool(calls) is kernel_runs
+    assert exact_items(got) == exact_items(loop_ladder(kind, v, 1))
+    # a dict-born state of any size stays on the loop
+    getattr(fock, kind)(v, 1)
+    assert len(calls) == int(kernel_runs)
+
+
+@pytest.mark.parametrize("statistics, nmax", [(Statistics.BOSE, 3), (Statistics.FERMI, 1)], ids=["bose", "fermi"])
+@pytest.mark.parametrize("numpy_amplitudes", [False, True], ids=["complex", "complex128"])
+def test_chains_of_array_born_operations_equal_the_dict_loops(statistics, nmax, numpy_amplitudes):
+    # two particles per species (784 or 1,296 components); species 1's
+    # Jordan-Wigner sign counts species 0's quanta
+    space = ModeSpace(8, statistics, nmax=nmax, species_count=2)
+    rng = np.random.default_rng(21)
+    v = vacuum(space)
+    if numpy_amplitudes:
+        v = FockVector(space, {k: np.complex128(a) for k, a in v.amplitudes.items()})
+    steps = [("transformed_create", rng.normal(size=8) + 1j * rng.normal(size=8), s) for s in (0, 1, 0, 1)]
+    steps += [("create", 3, 1), ("annihilate", 3, 1), ("annihilate", 0, 0), ("create", 7, 0),
+              ("create", 5, 1), ("annihilate", 2, 0), ("transformed_create", rng.normal(size=8), 1)]
+    got = want = v
+    on_arrays = 0
+    for kind, arg, species in steps:
+        stored_as_arrays = got._values is not None
+        ladder_kernel_runs = kind != "transformed_create" and stored_as_arrays and fock._size(got) >= fock.ARRAY_CUTOFF
+        got = getattr(fock, kind)(got, arg, species)
+        with dict_path():
+            want = getattr(fock, kind)(want, arg, species)
+        if ladder_kernel_runs:
+            on_arrays += 1
+            assert got._values is not None and "amplitudes" not in vars(got), kind
+        assert struct.pack("<d", got.norm) == struct.pack("<d", want.norm), kind
+        assert exact_items(got) == exact_items(want), kind
+    assert on_arrays >= 3
+
+
+@pytest.mark.parametrize("statistics, modes, nmax", [(Statistics.BOSE, 32, 4), (Statistics.FERMI, 24, 1)],
+                         ids=["bose", "fermi"])
+def test_benchmark_chain_never_builds_the_amplitude_dict(statistics, modes, nmax):
+    # the fock_states benchmark's timed operations; a dict built here is a
+    # dict walk back on the large-state path
+    space = ModeSpace(modes, statistics, nmax=nmax)
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(modes, 4)) + 1j * rng.normal(size=(modes, 4)))
+    psi = vacuum(space)
+    built = []
+    for orbital in q.T:
+        psi = transformed_create(psi, orbital)
+        built.append(psi)
+    densities = [number_expectation(psi, m) for m in range(modes)]
+    built += [f(psi, m) for m in (0, modes - 1) for f in (create, annihilate)]
+    assert "amplitudes" in vars(built[0])  # from the vacuum: `modes` units of work, on the loop
+    for v in built[1:]:
+        assert "amplitudes" not in vars(v)
+    assert sum(densities) == pytest.approx(4.0, abs=1e-10)
 
 
 # -- caches on FockVector ------------------------------------------------------
