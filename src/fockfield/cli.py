@@ -122,7 +122,7 @@ PARAMETERS = {
     "causality": {
         # the default grid holds about M²/32 (dt, dx) pairs of M modes each, so time grows as M³ and
         # memory as M²: M = 1024 ran 2.2 s at a 67 MB peak and M = 2048 15 s at 169 MB; 4096 would take minutes
-        "M": Param(int, 512, lo=2, hi=2048),
+        "M": Param(int, 512, lo=4, hi=2048),  # the default grid holds no point below M = 4
         "dx": Param(float, 0.25, "lattice spacing"),
         "mass": Param(float, 1.0, lo=0),
         "dts": Param(_parse_float_list, None, "time separations (comma separated)"),
@@ -291,7 +291,7 @@ def _ladder_relation_residuals(spaces, rng, n_pairs: int) -> list:
         for start in range(0, n_pairs, block):
             draws = rng.integers(0, np.tile(bounds, min(block, n_pairs - start))).reshape(-1, 3)
             groups: dict = {}
-            for occ, a, b in zip(_occupations(draws[:, 0], radix, modes).tolist(), *draws[:, 1:].T.tolist()):
+            for occ, a, b in zip(_digit_rows(draws[:, 0], radix, modes).tolist(), *draws[:, 1:].T.tolist()):
                 groups.setdefault((a, b), {})[tuple(occ)] = 1.0 + 0.0j
             for (a, b), states in groups.items():
                 s = FockVector(space, states)
@@ -319,7 +319,7 @@ def _pair_max(w: FockVector) -> float:
     return max((math.sqrt(abs(v) ** 2) for v in w.amplitudes.values()), default=0.0)
 
 
-def _occupations(indices: np.ndarray, radix: int, modes: int) -> np.ndarray:
+def _digit_rows(indices: np.ndarray, radix: int, modes: int) -> np.ndarray:
     """Row i is entry indices[i] of itertools.product(range(radix),
     repeat=modes): its base-``radix`` digits, most significant first."""
     powers = np.array([radix ** (modes - 1 - j) for j in range(modes)], dtype=np.int64)
@@ -587,7 +587,7 @@ VERIFY_CHECKS = (
 
 
 def run_verify(args) -> int:
-    tags = [t.strip() for t in args.only.split(",")] if args.only else None
+    tags = [t.strip() for t in args.only.split(",")] if args.only is not None else None
     known = {tag for tag, _, _ in VERIFY_CHECKS}
     if tags:
         unknown = set(tags) - known

@@ -24,8 +24,10 @@ kernels run once the work reaches ``ARRAY_CUTOFF``:
 the modes' contributions in one numpy round per mode, in the loop's
 order; ``create`` and ``annihilate`` (components of an array-born input)
 keep and scale the rows the loop keeps; ``number_expectation``
-(components) reduces the occupation matrix and an |amplitude|² vector
-cached on the state.  The dict built from a kernel's result equals the
+(components) reduces the occupation rows and an |amplitude|² vector
+cached on the state.  A dict-born input of ``transformed_create`` or
+``number_expectation`` gets its occupation rows from its keys, once, and
+stays dict-born.  The dict built from a kernel's result equals the
 loop's in keys, insertion order, amplitude bits and types; the
 ``number_expectation`` kernel sums pairwise, so it agrees with the loop
 to rounding.  Every state the CLI builds is below the cutoff.
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,7 +49,9 @@ NORM_TOL = 1e-8
 ARRAY_CUTOFF = 256
 
 # Rows per chunk when an array-born state's dict is built; bounds the
-# builder's short-lived lists.
+# short-lived lists of each chunk.  Building the dict in one piece
+# instead raised the fock_states benchmark's peak RSS by about 12 MB
+# (92.9 to 104.9 MB, Linux x86-64).
 _DICT_CHUNK = 4096
 
 
@@ -115,18 +118,20 @@ class FockVector:
     amplitudes, and ``_kind``, the amplitudes' type (complex or
     np.complex128); its ``amplitudes`` dict is built on the first read
     (``_BuiltOnFirstRead``), after which it is an ordinary instance
-    attribute.  Treat instances as
-    immutable: the dict, the norm and the kernels' occupation matrix and
-    |amplitude|² vector are cached on the instance, and nothing
+    attribute.  ``_rows`` is the state's one occupation matrix: a kernel
+    that reads a dict-born state fills it from the keys
+    (``_occupation_matrix``) and leaves ``_values`` None.  Treat instances
+    as immutable: the dict, the norm, ``_rows`` and the |amplitude|²
+    vector ``_weights`` are cached on the instance, and nothing
     invalidates them.
     """
 
     mode_space: ModeSpace
     amplitudes: dict = field(default_factory=dict)
     _norm: object = field(default=None, init=False, compare=False, repr=False)
-    _occupations: object = field(default=None, init=False, compare=False, repr=False)
     _weights: object = field(default=None, init=False, compare=False, repr=False)
-    # the stored form of an array-born state; class-level None on a dict-born one
+    # the stored form of an array-born state; class-level None on a dict-born
+    # one, whose _rows a kernel may fill from its keys
     _rows = None
     _values = None
     _kind = None
@@ -354,7 +359,7 @@ def _ladder_kernel(v: FockVector, slot: int, step: int):
     space, occ = v.mode_space, v._rows
     n = occ[:, slot]
     kept = np.flatnonzero(n < space.occupation_cap if step > 0 else n > 0)
-    rows = np.take(occ, kept, axis=0, out=_mapped((len(kept), occ.shape[1]), occ.dtype))
+    rows = occ[kept]
     rows[:, slot] += step
     if space.statistics is _FERMI:
         s = 1.0 - 2.0 * (np.sum(rows[:, :slot], axis=1) % 2)
@@ -366,7 +371,7 @@ def _ladder_kernel(v: FockVector, slot: int, step: int):
     nonzero = (re != 0.0) | (im != 0.0)
     if not np.all(nonzero):
         rows, re, im = rows[nonzero], re[nonzero], im[nonzero]
-    out = _mapped(len(rows), complex)
+    out = np.empty(len(rows), complex)
     out.real, out.imag = re, im
     return _array_state(space, rows, out, v._kind)
 
@@ -393,20 +398,6 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
     return out
 
 
-def _mapped(shape, dtype) -> np.ndarray:
-    """A zero-filled array in its own anonymous memory mapping.
-
-    The kernels keep their large arrays out of the malloc heap: once glibc
-    has raised its dynamic mmap threshold, freed numpy buffers of a few MB
-    stay resident there as holes, while a mapping goes back to the system
-    when its array is freed.  On the fock_states benchmark (Linux x86-64,
-    glibc) this lowered the peak RSS by about 2.5 MB.
-    """
-    count = int(np.prod(shape))
-    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
-    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
-
-
 def _occupation_dtype(cap: int):
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if cap <= np.iinfo(dtype).max:
@@ -415,17 +406,17 @@ def _occupation_dtype(cap: int):
 
 
 def _occupation_matrix(v: FockVector):
-    """Occupation rows of v in amplitudes order, cached on v.
+    """Occupation rows of v in amplitudes order: v._rows, filled from a
+    dict-born state's keys on the first call.
 
-    An array-born state's are its stored rows.  None when a key is not a
-    tuple of num_slots integers in [0, cap] (possible only for a hand-built
-    vector); callers then use the dict loop.  The keys are read with numpy's
-    own dtype first, because a cast to the occupation dtype would truncate
-    an entry such as 1.5 silently.
+    None when a key is not a tuple of num_slots integers in [0, cap]
+    (possible only for a hand-built vector); callers then use the dict
+    loop.  The keys are read with numpy's own dtype first, because a cast
+    to the occupation dtype would truncate an entry such as 1.5 silently.
+    A dict-born state keeps ``_values`` None, so its ladder operators stay
+    on the dict loops.
     """
-    if v._occupations is None and v._rows is not None:
-        v._occupations = v._rows
-    elif v._occupations is None:
+    if v._rows is None:
         space = v.mode_space
         cap = space.occupation_cap
         dtype = _occupation_dtype(cap)
@@ -439,8 +430,8 @@ def _occupation_matrix(v: FockVector):
             return None
         if occ.min() < 0 or occ.max() > cap:
             return None
-        v._occupations = occ.astype(dtype)
-    return v._occupations
+        v._rows = occ.astype(dtype)
+    return v._rows
 
 
 def _pack(occ: np.ndarray, bits: int) -> np.ndarray:
@@ -498,34 +489,34 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     total = int(bounds[-1])
     if total == 0:
         return FockVector(space, {})
-    src = np.concatenate(src, out=_mapped(total, np.int32))
+    src = np.concatenate(src)
     mode_slots = base_slot + np.asarray(modes)
 
     # Number the distinct keys, key_of[i] being contribution i's; equal keys
     # are adjacent after the sort.
     base = _pack(occ, bits)
-    words = np.take(base, src, axis=1, out=_mapped((len(base), total), np.uint64))
+    words = base[:, src]
     for j, slot in enumerate(mode_slots):
         words[slot // per_word, bounds[j]:bounds[j + 1]] += np.uint64(1 << bits * (slot % per_word))
     order = np.lexsort(words)
-    new_key = _mapped(total, bool)
+    new_key = np.zeros(total, bool)
     new_key[0] = True
-    ranked = _mapped(total, np.uint64)
+    ranked = np.empty(total, np.uint64)
     for word in words:
         np.take(word, order, out=ranked)
         new_key[1:] |= ranked[1:] != ranked[:-1]
     del base, words, ranked
-    ranks = np.cumsum(new_key, out=_mapped(total, np.intp))
+    ranks = np.cumsum(new_key, dtype=np.intp)
     ranks -= 1
-    key_of = _mapped(total, np.intp)
+    key_of = np.empty(total, np.intp)
     key_of[order] = ranks
     num_keys = int(ranks[-1]) + 1
     del order, new_key, ranks
 
-    acc_re = _mapped(num_keys, np.float64)
-    acc_im = _mapped(num_keys, np.float64)
-    present = _mapped(num_keys, bool)
-    inserted_by = _mapped(num_keys, np.intp)
+    acc_re = np.zeros(num_keys)
+    acc_im = np.zeros(num_keys)
+    present = np.zeros(num_keys, bool)
+    inserted_by = np.empty(num_keys, np.intp)
     if fermi:
         # occupied slots up to each slot; a raisable fermion slot is empty,
         # so there this counts the slots below it
@@ -537,14 +528,16 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
             s = 1.0 - 2.0 * parity[rows, slot]
         else:
             s = np.sqrt(occ[rows, slot] + 1.0)
-        u_re = amps.real[rows] * s
-        u_im = amps.imag[rows] * s
         c_re, c_im = coeffs[mode].real, coeffs[mode].imag
         # v's keys are distinct and one more quantum in a fixed slot keeps
         # them so, hence ids has no repeats and the fancy-index update is safe
         ids = key_of[lo:hi]
-        re = acc_re[ids] + (c_re * u_re - c_im * u_im)
-        im = acc_im[ids] + (c_re * u_im + c_im * u_re)
+        # the loop's Python complex overflows to inf, and inf - inf gives nan, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_re = amps.real[rows] * s
+            u_im = amps.imag[rows] * s
+            re = acc_re[ids] + (c_re * u_re - c_im * u_im)
+            im = acc_im[ids] + (c_re * u_im + c_im * u_re)
         zero = (re == 0.0) & (im == 0.0)
         fresh = ~present[ids] & ~zero
         inserted_by[ids[fresh]] = lo + np.flatnonzero(fresh)
@@ -555,14 +548,12 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     kept = np.flatnonzero(present)
     kept = kept[np.argsort(inserted_by[kept])]
     idx = inserted_by[kept]
-    values = _mapped(len(idx), complex)
+    values = np.empty(len(idx), complex)
     values.real, values.imag = acc_re[kept], acc_im[kept]
     del acc_re, acc_im, present, inserted_by, kept
-    rows = np.take(occ, src[idx], axis=0, out=_mapped((len(idx), occ.shape[1]), occ.dtype))
+    rows = occ[src[idx]]
     rows[np.arange(len(rows)), mode_slots[np.searchsorted(bounds, idx, side="right") - 1]] += 1
-    out = _array_state(space, rows, values, kinds.pop())
-    out._occupations = rows
-    return out
+    return _array_state(space, rows, values, kinds.pop())
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
@@ -602,7 +593,7 @@ def number_expectation(v: FockVector, mode=None, species=None) -> float:
         if occ is not None:
             if v._weights is None:
                 amps = _value_array(v)
-                v._weights = np.add(amps.real * amps.real, amps.imag * amps.imag, out=_mapped(len(amps), np.float64))
+                v._weights = amps.real * amps.real + amps.imag * amps.imag
             counts = occ[:, lo] if hi == lo + 1 else np.sum(occ[:, lo:hi], axis=1)
             return float(np.sum(v._weights * counts))
     if hi == lo + 1:

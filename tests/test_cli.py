@@ -324,6 +324,17 @@ def test_verify_unknown_tag_exits_2(capsys):
     assert run(["verify", "--only", "eq99"]) == 2
 
 
+@pytest.mark.parametrize("only", ["", " ", "eq3,,eq8"], ids=["empty", "blank", "empty-entry"])
+def test_verify_empty_tag_exits_2_naming_it(capsys, only):
+    # an empty --only names the empty tag; it does not run every check
+    assert run(["verify", "--only", only]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown check tags ['']; known: ['comment6', 'eq12', 'eq13', 'eq14', 'eq3', 'eq8']\n"
+    )
+
+
 def drop_jordan_wigner_string(monkeypatch):
     # every fermion sign +1: distinct modes then commute instead of anticommuting
     monkeypatch.setattr(fock, "_jw_sign", lambda occ, slot: 1.0)
@@ -528,6 +539,7 @@ def test_config_value_that_does_not_parse_names_the_parameter(tmp_path, capsys):
     (["causality", "--mass", "-1"], "mass"),
     (["measure", "--apparatus-energy", "0"], "apparatus_energy"),
     (["measure", "--apparatus-energy", "-1"], "apparatus_energy"),
+    (["causality", "--M", "2"], "M"),  # the default grid holds no point: a header-only table
 ])
 def test_inputs_that_used_to_run_or_crash_exit_2(tmp_path, capsys, argv, name):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
@@ -765,7 +777,7 @@ def test_occupations_at_matches_filtered_basis_states(stats, modes, nmax):
     space = ModeSpace(modes, stats, nmax=nmax)
     cap = space.occupation_cap - (1 if stats is Statistics.BOSE else 0)
     states = [occ for occ in space.basis_states() if max(occ) <= cap]
-    decoded = cli._occupations(np.arange(len(states)), cap + 1, modes)
+    decoded = cli._digit_rows(np.arange(len(states)), cap + 1, modes)
     assert decoded.dtype == np.int64
     assert [tuple(row) for row in decoded.tolist()] == states
     assert [occupations_at(i, cap + 1, modes) for i in range(len(states))] == states

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -450,7 +451,7 @@ def test_kernel_occupations_above_int8_do_not_wrap():
     v = FockVector(space, {(k, 300 - k): complex(rng.normal(), rng.normal()) for k in range(301)})
     coeffs = [0.6 + 0.1j, -0.3 + 0.7j]
     got = transformed_create(v, coeffs)
-    assert got._occupations is not None and got._occupations.dtype == np.int16
+    assert got._rows is not None and got._rows.dtype == np.int16
     assert exact_items(got) == exact_items(loop_transformed_create(v, coeffs))
     assert max(max(k) for k in got.amplitudes) == 300
     w = got.normalized()
@@ -458,6 +459,34 @@ def test_kernel_occupations_above_int8_do_not_wrap():
         with dict_path():
             want = number_expectation(w, mode)
         assert number_expectation(w, mode) == pytest.approx(want, rel=1e-13)
+
+
+# amplitudes near the largest double: products overflow to inf and inf - inf
+# gives nan, which the loop's Python complex does silently
+OVERFLOW_AMPLITUDES = {
+    "uniform": lambda rng, size: np.full((size, 2), [1.7e308, 1.0]),
+    "mixed": lambda rng, size: rng.choice([1.7e308, -1.7e308, 1e308, -1e308, 1.0, -0.0, 0.0], size=(size, 2)),
+}
+
+
+@pytest.mark.parametrize("coeffs", [[1.5, 0, 0, 0], [1.5 + 1.5j, 2, 0, 0], [1.5 - 0.5j, -2, 1, 0]],
+                         ids=["one-mode", "two-modes", "three-modes"])
+@pytest.mark.parametrize("numpy_amplitudes", [False, True], ids=["complex", "complex128"])
+@pytest.mark.parametrize("pattern", OVERFLOW_AMPLITUDES)
+def test_kernel_overflow_is_silent_and_equals_the_loop(pattern, numpy_amplitudes, coeffs):
+    space = ModeSpace(4, Statistics.BOSE, nmax=3)
+    keys = list(space.basis_states())
+    parts = OVERFLOW_AMPLITUDES[pattern](np.random.default_rng(6), len(keys))
+    kind = np.complex128 if numpy_amplitudes else complex
+    v = FockVector(space, {k: kind(complex(re, im)) for k, (re, im) in zip(keys, parts.tolist())})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel_transformed_create(v, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # np.complex128 products warn
+        want = loop_transformed_create(v, coeffs)
+    assert got is not None
+    assert exact_items(got) == exact_items(want)
+    assert not all(np.isfinite(a) for a in want.amplitudes.values())
 
 
 BASIS_OF_256 = list(ModeSpace(4, Statistics.BOSE, nmax=3).basis_states())
@@ -482,7 +511,7 @@ def test_hand_built_keys_run_on_the_dict_loops(case):
         with dict_path():
             want = number_expectation(v, mode)
         assert number_expectation(v, mode) == want
-    assert v._occupations is None
+    assert v._rows is None
 
 
 @pytest.mark.parametrize("statistics", [Statistics.BOSE, Statistics.FERMI], ids=["bose", "fermi"])
@@ -701,7 +730,7 @@ def test_benchmark_chain_never_builds_the_amplitude_dict(statistics, modes, nmax
 
 
 def cached_state():
-    """A normalized kernel-built state with its norm, occupations and weights cached."""
+    """A normalized kernel-built state with its norm, occupation rows and weights cached."""
     space = ModeSpace(8, Statistics.BOSE, nmax=4)
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
@@ -709,8 +738,32 @@ def cached_state():
     for orbital in q.T:
         v = transformed_create(v, orbital)
     number_expectation(v, 0)
-    assert v._norm is not None and v._occupations is not None and v._weights is not None
+    assert v._norm is not None and v._rows is not None and v._weights is not None
     return v
+
+
+def test_dict_born_state_stays_dict_born_once_a_kernel_fills_its_rows():
+    # number_expectation and transformed_create fill _rows from the keys;
+    # _values stays None, so create and annihilate stay on the dict loops
+    space = ModeSpace(4, Statistics.BOSE, nmax=3)
+    rng = np.random.default_rng(13)
+    keys = list(space.basis_states())
+    assert len(keys) >= fock.ARRAY_CUTOFF
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    amps /= np.linalg.norm(amps)
+    v = FockVector(space, {k: complex(a) for k, a in zip(keys, amps)})
+    plain = FockVector(space, dict(v.amplitudes))
+    number_expectation(v, 1)
+    transformed_create(v, [0.5, -1j, 0.25, 0.0])
+    assert v._rows is not None and v._values is None
+    assert v == plain and plain == v
+    assert repr(v) == repr(plain)
+    for mode in range(space.num_modes):
+        for kind in ("create", "annihilate"):
+            got = getattr(fock, kind)(v, mode)
+            assert got._values is None
+            assert exact_items(got) == exact_items(loop_ladder(kind, plain, mode))
+    assert v._values is None
 
 
 def test_equality_and_repr_ignore_the_caches():
@@ -732,8 +785,10 @@ def test_derived_vectors_do_not_inherit_caches():
     v = cached_state()
     derived = [v.normalized(), v + v, 2.0 * v, v - v.normalized(), create(v, 0), annihilate(v, 1)]
     for w in derived:
-        assert w._norm is None and w._occupations is None and w._weights is None
+        assert w._norm is None and w._weights is None
         assert w.norm == float(np.sqrt(sum(abs(a) ** 2 for a in w.amplitudes.values())))
+    # the kernel-built create and annihilate store their rows as their form
+    assert all(w._rows is None for w in derived[:4])
     u = derived[0]
     for mode in range(8):
         with dict_path():
