@@ -327,6 +327,8 @@ def _digit_rows(indices: np.ndarray, radix: int, modes: int) -> np.ndarray:
 
 
 def run_wick(args) -> int:
+    if args.expr is not None and args.file is not None:
+        raise ValueError("wick takes --expr or --file, not both")
     if args.expr is not None:
         text = args.expr
     elif args.file is not None:

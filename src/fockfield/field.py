@@ -53,9 +53,9 @@ class LatticeSpec:
     def __post_init__(self):
         if self.num_sites < 2 or self.num_sites % 2:
             raise ValueError("num_sites must be even and >= 2")
-        if self.spacing <= 0:
+        if not self.spacing > 0:  # written so that nan fails, as below
             raise ValueError("spacing must be positive")
-        if self.mass < 0:
+        if not self.mass >= 0:
             raise ValueError("mass must be nonnegative")
 
     @property
@@ -200,7 +200,7 @@ def prepare_one_particle(f: WaveAmplitude, mode_space: ModeSpace) -> FockVector:
     """Σ_x f(x) Ψ†(x) |0⟩: the one-particle state with intensity f."""
     if mode_space.num_modes != f.lattice.num_sites or mode_space.species_count != 1:
         raise ValueError("mode_space must have one single-species mode per site")
-    if abs(f.norm - 1.0) > NORM_TOL:
+    if not abs(f.norm - 1.0) <= NORM_TOL:
         raise ValueError(f"intensity profile must be normalized (norm = {f.norm!r})")
     zero = (0,) * mode_space.num_slots
     amps = {}
@@ -262,13 +262,17 @@ def coherent_state(mode_amplitudes, mode_space: ModeSpace) -> FockVector:
     alphas = np.asarray(mode_amplitudes, dtype=complex)
     if alphas.shape != (mode_space.num_modes,):
         raise ValueError("need one amplitude per mode")
-    needed = max(12, math.ceil(8 * np.max(np.abs(alphas) ** 2))) if np.any(alphas != 0) else 1
-    if np.any(alphas != 0) and mode_space.nmax < needed:
-        raise ValueError(f"nmax {mode_space.nmax} too small; need >= {needed}")
+    if not np.isfinite(alphas).all():
+        raise ValueError("mode_amplitudes must be finite")
     active = [m for m in range(mode_space.num_modes) if alphas[m] != 0.0]
-    zero = (0,) * mode_space.num_slots
     if not active:
         return vacuum(mode_space)
+    with np.errstate(over="ignore"):  # past |α| ≈ 1e154 the bound is inf, which no nmax meets
+        bound = 8 * np.max(np.abs(alphas) ** 2)
+    needed = max(12, math.ceil(bound)) if np.isfinite(bound) else bound
+    if mode_space.nmax < needed:
+        raise ValueError(f"nmax {mode_space.nmax} too small; need >= {needed}")
+    zero = (0,) * mode_space.num_slots
     per_mode = []
     for m in active:
         ns = np.arange(mode_space.nmax + 1)
@@ -307,14 +311,11 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
 
     Every mode with ω = 0 is excluded (infrared cutoff): the k = 0 mode
     when m = 0 or when m² underflows to 0.  Callers that record artifacts
-    should flag this in their metadata.
+    should flag this in their metadata.  This is the one-pair case of
+    commutator_sweep, so it raises ValueError where the phase is not finite.
     """
-    w, p = _commutator_modes(lattice)
-    theta = p * dx - w * dt
-    summand = np.exp(1j * theta)
-    if include_antiparticles:
-        summand = summand - np.exp(-1j * theta)
-    return complex(np.sum(summand / (2.0 * w)) / lattice.num_sites)
+    with_anti, without = commutator_sweep(lattice, [(dt, dx)])
+    return with_anti[0] if include_antiparticles else without[0]
 
 
 def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0):
@@ -342,16 +343,17 @@ def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0):
 
 
 def commutator_sweep(lattice: LatticeSpec, pairs):
-    """pauli_jordan over (dt, dx) pairs, with and without antiparticles.
+    """The pauli_jordan mode sums over (dt, dx) pairs, with and without antiparticles.
 
     Returns two lists of complex, ``(with_antiparticles, without)``, each
     with one value per pair in input order.  Both come from one chunked
     numpy pass: each block of pairs builds e = exp(i(p·dx − ω·dt)) once
     over (rows × modes), and the antiparticle term reuses it as conj(e).
     Blocks hold at most about 2**17 complex values (2 MiB) at any M.
-    Every value is exactly equal (==) to the matching pauli_jordan call,
-    so artifacts built from either are byte-identical.  A pair whose phase
-    p·dx − ω·dt is not finite for some mode raises ValueError.
+    Every value is bit-identical to the pair's mode sum evaluated on its
+    own, so the value of a pair does not depend on the block it lands in
+    or on the other pairs.  A pair whose phase p·dx − ω·dt is not finite
+    for some mode raises ValueError.
     """
     w, p = _commutator_modes(lattice)
     M = lattice.num_sites

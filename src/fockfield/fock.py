@@ -11,7 +11,8 @@ ModeSpace, so the net particle number A†A − Ā†Ā is an ordinary
 expectation value.
 
 All operations are pure: they return new FockVector instances and never
-mutate their arguments.
+mutate their arguments.  ``create`` and ``annihilate`` are one ladder
+step (``_ladder``), n → n ± 1 in one slot, with one loop and one kernel.
 
 A state stored as a dict is dict-born: ``amplitudes`` maps occupation
 tuples to amplitudes and every operation walks it, which is fastest for
@@ -22,8 +23,8 @@ built from them, in row order, only when something reads it.  The
 kernels run once the work reaches ``ARRAY_CUTOFF``:
 ``transformed_create`` (input components × nonzero coefficients) adds
 the modes' contributions in one numpy round per mode, in the loop's
-order; ``create`` and ``annihilate`` (components of an array-born input)
-keep and scale the rows the loop keeps; ``number_expectation``
+order; the ladder step (components of an array-born input) keeps and
+scales the rows the loop keeps; ``number_expectation``
 (components) reduces the occupation rows and an |amplitude|² vector
 cached on the state.  A dict-born input of ``transformed_create`` or
 ``number_expectation`` gets its occupation rows from its keys, once, and
@@ -35,6 +36,7 @@ to rounding.  Every state the CLI builds is below the cutoff.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -65,6 +67,17 @@ class Statistics(Enum):
 _FERMI = Statistics.FERMI
 
 
+def _integer(name: str, value) -> int:
+    """value as an int: an integral value such as 2.0 or a numpy integer
+    passes, anything else (2.5, nan, inf, a string) raises ValueError naming it."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """Finite mode register: M modes per species, 1 or 2 species.
@@ -81,6 +94,8 @@ class ModeSpace:
     species_count: int = 1
 
     def __post_init__(self):
+        for name in ("num_modes", "nmax", "species_count"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.num_modes < 1:
             raise ValueError("num_modes must be positive")
         if self.nmax < 1:
@@ -116,10 +131,10 @@ class FockVector:
     with its ``amplitudes``.  An array-born state (made by ``_array_state``)
     stores ``_rows``, one occupation row per component, ``_values``, their
     amplitudes, and ``_kind``, the amplitudes' type (complex or
-    np.complex128); its ``amplitudes`` dict is built on the first read
-    (``_BuiltOnFirstRead``), after which it is an ordinary instance
-    attribute.  ``_rows`` is the state's one occupation matrix: a kernel
-    that reads a dict-born state fills it from the keys
+    np.complex128); its ``amplitudes`` dict is built on the first read (a
+    ``functools.cached_property`` set on the class), after which it is an
+    ordinary instance attribute.  ``_rows`` is the state's one occupation
+    matrix: a kernel that reads a dict-born state fills it from the keys
     (``_occupation_matrix``) and leaves ``_values`` None.  Treat instances
     as immutable: the dict, the norm, ``_rows`` and the |amplitude|²
     vector ``_weights`` are cached on the instance, and nothing
@@ -128,10 +143,11 @@ class FockVector:
 
     mode_space: ModeSpace
     amplitudes: dict = field(default_factory=dict)
-    _norm: object = field(default=None, init=False, compare=False, repr=False)
-    _weights: object = field(default=None, init=False, compare=False, repr=False)
-    # the stored form of an array-born state; class-level None on a dict-born
-    # one, whose _rows a kernel may fill from its keys
+    # caches, and the stored form of an array-born state: class-level None
+    # until set on the instance; a kernel may fill a dict-born state's _rows
+    # from its keys
+    _norm = None
+    _weights = None
     _rows = None
     _values = None
     _kind = None
@@ -183,28 +199,16 @@ class FockVector:
         return FockVector(self.mode_space, {k: scalar * v for k, v in self.amplitudes.items()})
 
 
-class _BuiltOnFirstRead:
-    """The ``amplitudes`` of an array-born FockVector, built from its arrays on the first read.
-
-    A non-data descriptor: the dict it stores, like a dict-born state's
-    own, is an ordinary entry of the instance ``__dict__``, which attribute
-    lookup reads before it comes here.  Under CPython 3.11 it adds about
-    30 ns to each ``.amplitudes`` read of a dict-born state.  A
-    ``__getattr__`` on FockVector slowed every attribute read of every
-    state instead, and numpy's probes of a FockVector operand for
-    ``__array__`` and the like (a small ``transformed_create`` took twice
-    as long); a property would make each read a call, and a traced span.
-    """
-
-    def __get__(self, v, owner=None):
-        if v is None:
-            return self
-        amplitudes = v.__dict__["amplitudes"] = _amplitude_dict(v._rows, v._values, v._kind)
-        return amplitudes
-
-
-# after the dataclass decorator, which would read a class attribute as the field's default
-FockVector.amplitudes = _BuiltOnFirstRead()
+# An array-born state's amplitudes, built from its arrays on the first read.
+# A non-data descriptor: the dict, like a dict-born state's own, sits in the
+# instance __dict__, which lookup reads first; that costs a dict-born read
+# about 30 ns (CPython 3.11).  A __getattr__ slowed every attribute read, and
+# numpy's __array__ probes of a FockVector operand (a small transformed_create
+# took twice as long); a property would make each read a call, and a traced
+# span.  Set after the dataclass decorator, which would take a class attribute
+# for the field's default, so __set_name__ is called by hand.
+FockVector.amplitudes = functools.cached_property(lambda v: _amplitude_dict(v._rows, v._values, v._kind))
+FockVector.amplitudes.__set_name__(FockVector, "amplitudes")
 
 
 def _array_state(space: ModeSpace, rows: np.ndarray, values: np.ndarray, kind) -> FockVector:
@@ -250,7 +254,7 @@ def _check_same_space(u: FockVector, v: FockVector):
 
 
 def _check_normalized(v: FockVector, what: str):
-    if abs(v.norm - 1.0) > NORM_TOL:
+    if not abs(v.norm - 1.0) <= NORM_TOL:  # written so that a nan norm fails
         raise ValueError(f"{what} must be normalized (norm = {v.norm!r})")
 
 
@@ -288,30 +292,7 @@ def create(v: FockVector, mode: int, species: int = 0) -> FockVector:
     and doubly-created components vanish.  Producing the null element is
     a legitimate outcome, not an error.
     """
-    space = v.mode_space
-    slot = space.slot(mode, species)
-    if v._values is not None and len(v._values) >= ARRAY_CUTOFF:
-        out = _ladder_kernel(v, slot, 1)
-        if out is not None:
-            return out
-    fermi = space.statistics is _FERMI
-    out: dict = {}
-    for occ, amp in v.amplitudes.items():
-        n = occ[slot]
-        if fermi:
-            if n == 1:
-                continue
-            new_amp = amp * _jw_sign(occ, slot)
-        else:
-            if n + 1 > space.nmax:
-                continue
-            new_amp = amp * math.sqrt(n + 1)  # the bits of np.sqrt, without its call cost
-        # occupations map one to one, so each key is new; adding 0.0 turns a
-        # -0.0 part into +0.0 as a sum does
-        s = 0.0 + new_amp
-        if s != 0.0:
-            out[occ[:slot] + (n + 1,) + occ[slot + 1:]] = s
-    return FockVector(space, out)
+    return _ladder(v, v.mode_space.slot(mode, species), 1)
 
 
 def annihilate(v: FockVector, mode: int, species: int = 0) -> FockVector:
@@ -320,25 +301,34 @@ def annihilate(v: FockVector, mode: int, species: int = 0) -> FockVector:
     ⟨u, create(v)⟩ = ⟨annihilate(u), v⟩ holds exactly on the truncated
     space.  Annihilating the vacuum yields the null element.
     """
+    return _ladder(v, v.mode_space.slot(mode, species), -1)
+
+
+def _ladder(v: FockVector, slot: int, step: int) -> FockVector:
+    """create (step 1) or annihilate (step -1) at one slot: a component moves
+    to n' = n + step, kept when 0 ≤ n' ≤ cap, times the Jordan-Wigner sign
+    (fermions) or √max(n, n') (bosons)."""
     space = v.mode_space
-    slot = space.slot(mode, species)
     if v._values is not None and len(v._values) >= ARRAY_CUTOFF:
-        out = _ladder_kernel(v, slot, -1)
+        out = _ladder_kernel(v, slot, step)
         if out is not None:
             return out
     fermi = space.statistics is _FERMI
+    cap = 1 if fermi else space.nmax
     out: dict = {}
     for occ, amp in v.amplitudes.items():
-        n = occ[slot]
-        if n == 0:
+        n = occ[slot] + step
+        if not 0 <= n <= cap:
             continue
         if fermi:
             new_amp = amp * _jw_sign(occ, slot)
         else:
-            new_amp = amp * math.sqrt(n)
+            new_amp = amp * math.sqrt(n + (step < 0))  # the bits of np.sqrt, without its call cost
+        # occupations map one to one, so each key is new; adding 0.0 turns a
+        # -0.0 part into +0.0 as a sum does
         s = 0.0 + new_amp
         if s != 0.0:
-            out[occ[:slot] + (n - 1,) + occ[slot + 1:]] = s
+            out[occ[:slot] + (n,) + occ[slot + 1:]] = s
     return FockVector(space, out)
 
 
@@ -394,7 +384,7 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
             return out
     out = FockVector(space, {})
     for mode in modes:
-        out = out + coeffs[mode] * create(v, mode, species)
+        out = out + coeffs[mode] * _ladder(v, space.slot(mode, species), 1)
     return out
 
 
@@ -613,7 +603,7 @@ def two_particle_symmetrized(xi, eta, mode_space: ModeSpace) -> FockVector:
     for name, vec in (("xi", xi), ("eta", eta)):
         if vec.shape != (mode_space.num_modes,):
             raise ValueError(f"{name} must have one coefficient per mode")
-        if abs(np.linalg.norm(vec) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
     w = transformed_create(transformed_create(vacuum(mode_space), eta), xi)
     n = w.norm

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_TOL
+from .fock import NORM_TOL, _integer
 
 GENERATOR_NAME = "numpy.random.PCG64"
 SCHMIDT_CUTOFF = 1e-12
@@ -34,7 +34,7 @@ class BipartiteState:
         if self.amplitudes.ndim != 2:
             raise ValueError("amplitudes must be a 2-D matrix")
         n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > NORM_TOL:
+        if not abs(n - 1.0) <= NORM_TOL:  # written so that nan fails, like every check in this module
             raise ValueError(f"state must be normalized (norm = {float(n)!r})")
 
     @property
@@ -61,10 +61,10 @@ class DensityMatrix:
         rho = np.asarray(rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("rho must be square")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
             raise ValueError("rho must be Hermitian")
         _check_unit_trace(np.trace(rho).real)
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
+        if not np.linalg.eigvalsh(rho).min() >= -1e-10:
             raise ValueError("rho must be positive semidefinite")
         self._rho = rho
         self._columns = None
@@ -116,7 +116,7 @@ class DensityMatrix:
 
 
 def _check_unit_trace(trace) -> None:
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise ValueError(f"rho must have unit trace (trace = {float(trace)!r})")
 
 
@@ -131,10 +131,10 @@ class MeasurementModel:
     def __post_init__(self):
         if len(self.eigenvalues) != len(self.amplitudes):
             raise ValueError("eigenvalues and amplitudes must have equal length")
-        if self.apparatus_energy <= 0:
+        if not self.apparatus_energy > 0:
             raise ValueError(f"apparatus_energy must be > 0, got {self.apparatus_energy!r}")
         total = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"amplitudes must be normalized (Σ|f|² = {float(total)!r})")
 
 
@@ -142,7 +142,7 @@ def born_distribution(amplitudes) -> np.ndarray:
     """ρ(λ) = |⟨φ_λ, ψ⟩|², the empirically testable weight of each outcome."""
     f = np.asarray(amplitudes, dtype=complex)
     total = float(np.sum(np.abs(f) ** 2))
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitudes must be normalized (Σ|f|² = {total!r})")
     return np.abs(f) ** 2
 
@@ -157,7 +157,7 @@ def entangled_pair(phi1, phi2, psi1, psi2) -> BipartiteState:
     phi1, phi2 = np.asarray(phi1, dtype=complex), np.asarray(phi2, dtype=complex)
     psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
     for name, v in (("phi1", phi1), ("phi2", phi2), ("psi1", psi1), ("psi2", psi2)):
-        if abs(np.linalg.norm(v) - 1.0) > NORM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
     amp = np.outer(phi1, psi1) + np.outer(phi2, psi2)
     n = np.linalg.norm(amp)
@@ -203,11 +203,11 @@ def conditional_state(state: BipartiteState, outcome):
     exactly in ψ₁.
     """
     outcome = np.asarray(outcome, dtype=complex)
-    if abs(np.linalg.norm(outcome) - 1.0) > NORM_TOL:
+    if not abs(np.linalg.norm(outcome) - 1.0) <= NORM_TOL:
         raise ValueError("outcome vector must be normalized")
     chi = outcome.conj() @ state.amplitudes
     prob = float(np.linalg.norm(chi) ** 2)
-    if prob <= 1e-14:
+    if not prob > 1e-14:
         raise ValueError("outcome has zero probability on this state")
     return chi / np.sqrt(prob), prob
 
@@ -232,7 +232,7 @@ def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
         pointer_basis = np.asarray(pointer_basis, dtype=complex)
         if pointer_basis.shape != (d_b, d_b):
             raise ValueError("pointer basis must be a d_B x d_B unitary")
-        if np.max(np.abs(pointer_basis.conj().T @ pointer_basis - np.eye(d_b))) > 1e-10:
+        if not np.max(np.abs(pointer_basis.conj().T @ pointer_basis - np.eye(d_b))) <= 1e-10:
             raise ValueError("pointer basis must be unitary")
         amp = amp @ pointer_basis.conj()
     return DensityMatrix._from_pointer_columns(amp.copy())
@@ -241,7 +241,7 @@ def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
 def decoherence_time(apparatus_energy: float) -> float:
     """ħ/E_A in natural units: macroscopic apparatus energies make this
     extremely short."""
-    if apparatus_energy <= 0:
+    if not apparatus_energy > 0:
         raise ValueError(f"apparatus_energy must be > 0, got {apparatus_energy!r}")
     return 1.0 / apparatus_energy
 
@@ -253,9 +253,10 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
     gives bit-identical counts.  Parallel sampling should derive
     sub-streams via numpy SeedSequence.spawn rather than reusing the seed.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("need at least one draw")
-    if rho._max_coherence() > 1e-12:
+    if not rho._max_coherence() <= 1e-12:
         raise ValueError("density matrix has coherences; decohere before sampling")
     probs = np.clip(rho.diagonal(), 0.0, None)
     probs = probs / probs.sum()

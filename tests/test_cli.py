@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from fockfield import __version__, artifacts, cli, fock
 from fockfield.cli import MAX_PAIRS, PARAMETERS, SCENARIOS, build_parser, main
-from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid, pauli_jordan
+from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid
 from fockfield.fock import ModeSpace, Statistics
 from fockfield.qinfo import GENERATOR_NAME
 from fockfield.wick import MAX_TERMS
 
+from field_oracles import pauli_jordan_per_pair
 from fock_oracles import ladder_relation_residuals_per_pair, occupations_at
 
 
@@ -151,8 +152,8 @@ def test_causality_csv_matches_per_pair_pauli_jordan(tmp_path):
     lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
     rows = []
     for dt, dx in default_spacelike_grid(lattice):
-        w = pauli_jordan(lattice, dt, dx, True)
-        wo = pauli_jordan(lattice, dt, dx, False)
+        w = pauli_jordan_per_pair(lattice, dt, dx, True)
+        wo = pauli_jordan_per_pair(lattice, dt, dx, False)
         rows.append((dt, dx, w.real, w.imag, abs(w), wo.real, wo.imag, abs(wo)))
     header = ("dt", "dx", "re_with", "im_with", "abs_with", "re_without", "im_without", "abs_without")
     artifacts.write_csv(str(tmp_path / "oracle.csv"), header, rows)
@@ -309,8 +310,8 @@ def test_verify_only_filter(capsys):
 def test_verify_comment6_matches_per_pair_pauli_jordan(capsys):
     lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
     grid = default_spacelike_grid(lattice)
-    with_max = max(abs(pauli_jordan(lattice, dt, dx, True)) for dt, dx in grid)
-    without_max = max(abs(pauli_jordan(lattice, dt, dx, False)) for dt, dx in grid)
+    with_max = max(abs(pauli_jordan_per_pair(lattice, dt, dx, True)) for dt, dx in grid)
+    without_max = max(abs(pauli_jordan_per_pair(lattice, dt, dx, False)) for dt, dx in grid)
     assert run(["verify", "--only", "comment6"]) == 0
     assert capsys.readouterr().out == (
         "comment6  pass  spacelike commutator cancellation with antiparticles: "
@@ -724,6 +725,7 @@ def test_a_bad_value_gives_one_message_by_flag_or_config_key(tmp_path, capsys, s
     (["causality", "--dts", "1"], "error: --dts and --separations must be given together\n"),
     (["wick"], "error: wick needs --expr or --file\n"),
     (["wavepacket", "--times", "1:2"], "error: times: times must be start:stop:step, got '1:2'\n"),
+    (["wick", "--expr", "bose: a(x1)", "--file", "wick.txt"], "error: wick takes --expr or --file, not both\n"),
 ])
 def test_incomplete_arguments_exit_2(tmp_path, argv, message):
     rc, out, err = call_in_process([*argv, "--out-dir", str(tmp_path / "out")])

@@ -35,6 +35,7 @@ from fockfield.fock import (
     vacuum,
 )
 from fockfield.wick import evaluate, parse, vacuum_expectation
+from field_oracles import pauli_jordan_per_pair
 from fock_oracles import identity_resolution_residual
 
 LAT8 = LatticeSpec(8, 1.0, 1.0)
@@ -418,8 +419,8 @@ def test_commutator_sweep_equals_pauli_jordan_exactly(case):
 
     lattice, pairs = case
     with_vals, without_vals = commutator_sweep(lattice, pairs)
-    assert bits(with_vals) == bits([pauli_jordan(lattice, dt, dx, True) for dt, dx in pairs])
-    assert bits(without_vals) == bits([pauli_jordan(lattice, dt, dx, False) for dt, dx in pairs])
+    assert bits(with_vals) == bits([pauli_jordan_per_pair(lattice, dt, dx, True) for dt, dx in pairs])
+    assert bits(without_vals) == bits([pauli_jordan_per_pair(lattice, dt, dx, False) for dt, dx in pairs])
 
 
 def test_commutator_sweep_requires_relativistic_dispersion():
@@ -430,3 +431,38 @@ def test_commutator_sweep_requires_relativistic_dispersion():
 def test_commutator_sweep_rejects_pairs_that_are_not_pairs():
     with pytest.raises(ValueError):
         commutator_sweep(REL512, [(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)])
+
+
+@pytest.mark.parametrize("dt, dx", [(float("inf"), 1.0), (0.0, float("nan")), (0.0, 1e308), (-1e308, 0.5)])
+@pytest.mark.parametrize("include_antiparticles", [True, False])
+def test_pauli_jordan_at_a_non_finite_phase_raises_the_sweep_error(dt, dx, include_antiparticles):
+    message = f"the phase p*dx - w*dt is not finite at dts {dt!r}, separations {dx!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        pauli_jordan(REL512, dt, dx, include_antiparticles)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LatticeSpec(8, NAN, 1.0), "spacing must be positive"),
+    (lambda: LatticeSpec(8, 1.0, NAN), "mass must be nonnegative"),
+    (lambda: prepare_one_particle(WaveAmplitude([NAN] + [0.0] * 7, LAT8), site_mode_space(LAT8)),
+     "intensity profile must be normalized (norm = nan)"),
+], ids=["spacing", "mass", "intensity"])
+def test_nan_fails_the_lattice_and_normalization_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (float("inf"), "mode_amplitudes must be finite"),
+    (NAN, "mode_amplitudes must be finite"),
+    (complex(0.5, NAN), "mode_amplitudes must be finite"),
+    (1e200, "nmax 12 too small; need >= inf"),
+    (1.7e308 + 1.7e308j, "nmax 12 too small; need >= inf"),
+    (1e4, "nmax 12 too small; need >= 800000000"),
+])
+def test_coherent_state_rejects_non_finite_and_huge_amplitudes(alpha, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        coherent_state([alpha, 0.0], ModeSpace(2, Statistics.BOSE, nmax=12))

@@ -794,3 +794,40 @@ def test_derived_vectors_do_not_inherit_caches():
         with dict_path():
             want = number_expectation(u, mode)
         assert number_expectation(u, mode) == pytest.approx(want, rel=1e-13)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: number_expectation(FockVector(BOSE2, {(1, 0): complex(NAN)})), "state must be normalized (norm = nan)"),
+    (lambda: number_expectation(FockVector(BOSE2, {(1, 0): complex(NAN, 1.0)}), 0), "state must be normalized"),
+    (lambda: two_particle_symmetrized([NAN, 0.0], [1.0, 0.0], BOSE2), "xi must be normalized"),
+    (lambda: two_particle_symmetrized([1.0, 0.0], [0.0, NAN], FERMI2), "eta must be normalized"),
+], ids=["total", "one-mode", "xi", "eta"])
+def test_nan_fails_the_normalization_checks(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(num_modes=2.5), "num_modes"),
+    (dict(num_modes=NAN), "num_modes"),
+    (dict(num_modes="2"), "num_modes"),
+    (dict(nmax=1.5), "nmax"),
+    (dict(nmax=float("inf")), "nmax"),
+    (dict(species_count=1.5), "species_count"),
+])
+def test_mode_space_rejects_non_integral_sizes_naming_them(kwargs, name):
+    args = dict(num_modes=2, statistics=Statistics.BOSE) | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        ModeSpace(**args)
+
+
+def test_mode_space_takes_integral_floats_and_numpy_integers_as_ints():
+    space = ModeSpace(2.0, Statistics.BOSE, nmax=np.int64(2), species_count=np.float64(1.0))
+    assert space == ModeSpace(2, Statistics.BOSE, nmax=2)
+    assert all(type(n) is int for n in (space.num_modes, space.nmax, space.species_count))
+    assert vacuum(space).amplitudes == {(0, 0): 1.0}
+    assert len(list(space.basis_states())) == 9

@@ -389,3 +389,39 @@ def test_property_conditional_probabilities_sum_to_one(seed):
     basis = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
     total = sum(conditional_state(s, basis[:, k])[1] for k in range(3))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: born_distribution([NAN, 1.0]), "amplitudes must be normalized"),
+    (lambda: DensityMatrix([[NAN]]), "rho must be Hermitian"),
+    (lambda: DensityMatrix([[complex(1.0, NAN)]]), "rho must be Hermitian"),
+    (lambda: BipartiteState([[NAN]]), "state must be normalized (norm = nan)"),
+    (lambda: MeasurementModel((0, 1), (NAN, 0.8), 1.0), "amplitudes must be normalized"),
+    (lambda: MeasurementModel((0, 1), (0.6, 0.8), NAN), "apparatus_energy must be > 0, got nan"),
+    (lambda: decoherence_time(NAN), "apparatus_energy must be > 0, got nan"),
+    (lambda: entangled_pair([NAN, 0.0], E1, E0, E1), "phi1 must be normalized"),
+    (lambda: conditional_state(BELL, [NAN, 0.0]), "outcome vector must be normalized"),
+    (lambda: decohere(BELL, [[NAN, 0.0], [0.0, 1.0]]), "pointer basis must be unitary"),
+], ids=["born", "rho", "rho-imag", "bipartite", "model-amplitudes", "model-energy", "decoherence-time",
+        "entangled-pair", "conditional", "pointer-basis"])
+def test_nan_fails_every_tolerance_and_sign_check(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("n", [10.5, NAN, float("inf"), "10"])
+def test_sample_outcomes_rejects_a_non_integral_count_naming_it(n):
+    rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
+    with pytest.raises(ValueError, match="^n must be an integer, got "):
+        sample_outcomes(rho, n, 0)
+
+
+def test_sample_outcomes_takes_an_integral_float_or_numpy_count_as_the_int():
+    rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
+    want = sample_outcomes(rho, 10, 3)
+    assert np.array_equal(sample_outcomes(rho, 10.0, 3), want)
+    assert np.array_equal(sample_outcomes(rho, np.int64(10), 3), want)
