@@ -26,6 +26,8 @@ from .fock import (
     FockVector,
     ModeSpace,
     Statistics,
+    _index_arg,
+    _integer,
     annihilate,
     create,
     inner,
@@ -51,10 +53,13 @@ class LatticeSpec:
     dispersion: Dispersion = Dispersion.NONRELATIVISTIC
 
     def __post_init__(self):
+        object.__setattr__(self, "num_sites", _integer("num_sites", self.num_sites))
         if self.num_sites < 2 or self.num_sites % 2:
             raise ValueError("num_sites must be even and >= 2")
         if not self.spacing > 0:  # written so that nan fails, as below
             raise ValueError("spacing must be positive")
+        if not math.isfinite(self.spacing):
+            raise ValueError(f"spacing must be finite, got {self.spacing!r}")
         if not self.mass >= 0:
             raise ValueError("mass must be nonnegative")
 
@@ -156,6 +161,7 @@ class GeneralStateSpec:
 def overlap(lattice: LatticeSpec, x_index: int, p_index: int) -> complex:
     """⟨φ_p, φ_x⟩ = exp(−i p x)/√M, the unitary plane-wave kernel."""
     M = lattice.num_sites
+    x_index, p_index = _index_arg("x_index", x_index), _index_arg("p_index", p_index)
     if not 0 <= x_index < M:
         raise ValueError(f"x_index {x_index} out of range [0, {M})")
     if not 0 <= p_index < M:

@@ -16,20 +16,19 @@ step (``_ladder``), n → n ± 1 in one slot, with one loop and one kernel.
 
 A state stored as a dict is dict-born: ``amplitudes`` maps occupation
 tuples to amplitudes and every operation walks it, which is fastest for
-the few-component states of the CLI.  A state that an array kernel
-builds is array-born: its stored form is an occupation row matrix, a
-value array and the amplitudes' type, and its ``amplitudes`` dict is
-built from them, in row order, only when something reads it.  The
-kernels run once the work reaches ``ARRAY_CUTOFF``:
-``transformed_create`` (input components × nonzero coefficients) adds
-the modes' contributions in one numpy round per mode, in the loop's
-order; the ladder step (components of an array-born input) keeps and
-scales the rows the loop keeps; ``number_expectation``
-(components) reduces the occupation rows and an |amplitude|² vector
-cached on the state.  A dict-born input of ``transformed_create`` or
-``number_expectation`` gets its occupation rows from its keys, once, and
-stays dict-born.  The dict built from a kernel's result equals the
-loop's in keys, insertion order, amplitude bits and types; the
+the few-component states of the CLI; it never carries arrays.  A state
+that an array kernel builds is array-born: its stored form is an
+occupation row matrix and a complex value array, and its ``amplitudes``
+dict is built from them, in row order, with Python complex values, only
+when something reads it.  The kernels run once the work reaches
+``ARRAY_CUTOFF``: ``transformed_create`` (input components × nonzero
+coefficients) adds the modes' contributions in one numpy round per mode,
+in the loop's order, reading a dict-born input's keys into local rows;
+the ladder step (components of an array-born input) keeps and scales the
+rows the loop keeps; ``number_expectation`` (components of an array-born
+input) reduces the occupation rows and an |amplitude|² vector cached on
+the state.  The dict built from a kernel's result equals the loop's in
+keys, insertion order, amplitude bits and types; the
 ``number_expectation`` kernel sums pairwise, so it agrees with the loop
 to rounding.  Every state the CLI builds is below the cutoff.
 """
@@ -41,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import index as _index
 
 import numpy as np
 
@@ -78,6 +78,15 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _index_arg(name: str, value) -> int:
+    """value as an index: an int, a numpy integer or a bool passes; anything
+    else (1.0, None, a string) raises ValueError naming it."""
+    try:
+        return _index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ModeSpace:
     """Finite mode register: M modes per species, 1 or 2 species.
@@ -112,6 +121,10 @@ class ModeSpace:
         return 1 if self.statistics is _FERMI else self.nmax
 
     def slot(self, mode: int, species: int = 0) -> int:
+        try:  # a float such as 1.0 would pass the range checks and fail as a tuple index
+            mode, species = _index(mode), _index(species)
+        except TypeError:
+            mode, species = _index_arg("mode", mode), _index_arg("species", species)
         if not 0 <= mode < self.num_modes:
             raise ValueError(f"mode {mode} out of range [0, {self.num_modes})")
         if not 0 <= species < self.species_count:
@@ -128,29 +141,25 @@ class FockVector:
     """Sparse Fock-space vector: occupation tuple → complex amplitude.
 
     The empty map is the null element.  A dict-born state is constructed
-    with its ``amplitudes``.  An array-born state (made by ``_array_state``)
-    stores ``_rows``, one occupation row per component, ``_values``, their
-    amplitudes, and ``_kind``, the amplitudes' type (complex or
-    np.complex128); its ``amplitudes`` dict is built on the first read (a
-    ``functools.cached_property`` set on the class), after which it is an
-    ordinary instance attribute.  ``_rows`` is the state's one occupation
-    matrix: a kernel that reads a dict-born state fills it from the keys
-    (``_occupation_matrix``) and leaves ``_values`` None.  Treat instances
-    as immutable: the dict, the norm, ``_rows`` and the |amplitude|²
-    vector ``_weights`` are cached on the instance, and nothing
-    invalidates them.
+    with its ``amplitudes`` and keeps ``_rows`` and ``_values`` None.  An
+    array-born state (made by ``_array_state``) stores ``_rows``, one
+    occupation row per component, and ``_values``, their complex128
+    amplitudes; its ``amplitudes`` dict, with Python complex values, is
+    built on the first read (a ``functools.cached_property`` set on the
+    class), after which it is an ordinary instance attribute.  Treat
+    instances as immutable: the dict, the norm and an array-born state's
+    |amplitude|² vector ``_weights`` are cached on the instance, and
+    nothing invalidates them.
     """
 
     mode_space: ModeSpace
     amplitudes: dict = field(default_factory=dict)
     # caches, and the stored form of an array-born state: class-level None
-    # until set on the instance; a kernel may fill a dict-born state's _rows
-    # from its keys
+    # until set on the instance
     _norm = None
     _weights = None
     _rows = None
     _values = None
-    _kind = None
 
     @property
     def norm(self) -> float:
@@ -207,25 +216,24 @@ class FockVector:
 # took twice as long); a property would make each read a call, and a traced
 # span.  Set after the dataclass decorator, which would take a class attribute
 # for the field's default, so __set_name__ is called by hand.
-FockVector.amplitudes = functools.cached_property(lambda v: _amplitude_dict(v._rows, v._values, v._kind))
+FockVector.amplitudes = functools.cached_property(lambda v: _amplitude_dict(v._rows, v._values))
 FockVector.amplitudes.__set_name__(FockVector, "amplitudes")
 
 
-def _array_state(space: ModeSpace, rows: np.ndarray, values: np.ndarray, kind) -> FockVector:
-    """An array-born state: occupation rows, their amplitudes, the amplitudes' type."""
+def _array_state(space: ModeSpace, rows: np.ndarray, values: np.ndarray) -> FockVector:
+    """An array-born state: occupation rows and their complex128 amplitudes."""
     v = object.__new__(FockVector)
     v.mode_space = space
-    v._rows, v._values, v._kind = rows, values, kind
+    v._rows, v._values = rows, values
     return v
 
 
-def _amplitude_dict(rows: np.ndarray, values: np.ndarray, kind) -> dict:
-    """{occupation tuple: amplitude of type kind}, in row order, built _DICT_CHUNK rows at a time."""
+def _amplitude_dict(rows: np.ndarray, values: np.ndarray) -> dict:
+    """{occupation tuple: Python complex amplitude}, in row order, built _DICT_CHUNK rows at a time."""
     amplitudes: dict = {}
     for lo in range(0, len(rows), _DICT_CHUNK):
         hi = lo + _DICT_CHUNK
-        chunk = values[lo:hi].tolist() if kind is complex else values[lo:hi]
-        amplitudes.update(zip(zip(*rows[lo:hi].T.tolist()), chunk))
+        amplitudes.update(zip(zip(*rows[lo:hi].T.tolist()), values[lo:hi].tolist()))
     return amplitudes
 
 
@@ -236,16 +244,7 @@ def _size(v: FockVector) -> int:
 
 def _amplitude_values(v: FockVector):
     """The amplitudes in order, each of the type the dict holds."""
-    if v._values is None:
-        return v.amplitudes.values()
-    return v._values.tolist() if v._kind is complex else v._values
-
-
-def _value_array(v: FockVector) -> np.ndarray:
-    """The amplitudes in order as a complex array."""
-    if v._values is None:
-        return np.fromiter(v.amplitudes.values(), dtype=complex, count=len(v.amplitudes))
-    return v._values
+    return v.amplitudes.values() if v._values is None else v._values.tolist()
 
 
 def _check_same_space(u: FockVector, v: FockVector):
@@ -267,7 +266,7 @@ def basis_state(mode_space: ModeSpace, occupations) -> FockVector:
     given = tuple(occupations)
     try:
         occ = tuple(map(int, given))
-    except (ValueError, OverflowError):  # nan, inf
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
         occ = None
     if occ != given:  # also a value such as 1.5, which int() would truncate
         raise ValueError(f"occupations must be integers, got {given!r}")
@@ -363,7 +362,7 @@ def _ladder_kernel(v: FockVector, slot: int, step: int):
         rows, re, im = rows[nonzero], re[nonzero], im[nonzero]
     out = np.empty(len(rows), complex)
     out.real, out.imag = re, im
-    return _array_state(space, rows, out, v._kind)
+    return _array_state(space, rows, out)
 
 
 def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
@@ -377,14 +376,15 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.num_modes,):
         raise ValueError(f"expected {space.num_modes} coefficients, got {coeffs.shape}")
+    base_slot = space.slot(0, species)
     modes = [mode for mode, c in enumerate(coeffs) if c != 0.0]
     if _size(v) * len(modes) >= ARRAY_CUTOFF:
-        out = _transformed_create_kernel(v, coeffs, modes, space.slot(0, species))
+        out = _transformed_create_kernel(v, coeffs, modes, base_slot)
         if out is not None:
             return out
     out = FockVector(space, {})
     for mode in modes:
-        out = out + coeffs[mode] * _ladder(v, space.slot(mode, species), 1)
+        out = out + coeffs[mode] * _ladder(v, base_slot + mode, 1)
     return out
 
 
@@ -396,32 +396,27 @@ def _occupation_dtype(cap: int):
 
 
 def _occupation_matrix(v: FockVector):
-    """Occupation rows of v in amplitudes order: v._rows, filled from a
-    dict-born state's keys on the first call.
+    """Occupation rows of a dict-born state's keys, in amplitudes order.
 
     None when a key is not a tuple of num_slots integers in [0, cap]
     (possible only for a hand-built vector); callers then use the dict
     loop.  The keys are read with numpy's own dtype first, because a cast
     to the occupation dtype would truncate an entry such as 1.5 silently.
-    A dict-born state keeps ``_values`` None, so its ladder operators stay
-    on the dict loops.
     """
-    if v._rows is None:
-        space = v.mode_space
-        cap = space.occupation_cap
-        dtype = _occupation_dtype(cap)
-        if dtype is None:
-            return None
-        try:
-            occ = np.array(list(v.amplitudes))
-        except ValueError:  # keys of different lengths
-            return None
-        if occ.dtype.kind != "i" or occ.shape != (len(v.amplitudes), space.num_slots):
-            return None
-        if occ.min() < 0 or occ.max() > cap:
-            return None
-        v._rows = occ.astype(dtype)
-    return v._rows
+    space = v.mode_space
+    cap = space.occupation_cap
+    dtype = _occupation_dtype(cap)
+    if dtype is None:
+        return None
+    try:
+        occ = np.array(list(v.amplitudes))
+    except ValueError:  # keys of different lengths
+        return None
+    if occ.dtype.kind != "i" or occ.shape != (len(v.amplitudes), space.num_slots):
+        return None
+    if occ.min() < 0 or occ.max() > cap:
+        return None
+    return occ.astype(dtype)
 
 
 def _pack(occ: np.ndarray, bits: int) -> np.ndarray:
@@ -452,17 +447,22 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
 
     The loop's amplitudes stay Python complex when v's are, because numpy
     hands the coefficient to FockVector.__rmul__ as a Python complex; the
-    kernel's array-born result has the same type.  Returns None, for the
-    loop to run, when v's keys have no occupation matrix, its amplitudes
-    mix types, or an amplitude or coefficient is not finite (where inf·0
-    terms matter).
+    kernel's array-born result reads back the same type.  A dict-born v's
+    keys are read into local rows, and v is left as it was.  Returns None,
+    for the loop to run, when a dict-born v holds an amplitude that is not
+    a Python complex or keys that have no occupation matrix, or when an
+    amplitude or coefficient is not finite (where inf·0 terms matter).
     """
     space = v.mode_space
-    occ = _occupation_matrix(v)
-    kinds = {type(a) for a in v.amplitudes.values()} if v._values is None else {v._kind}
-    if occ is None or (kinds != {complex} and kinds != {np.complex128}):
-        return None
-    amps = _value_array(v)
+    if v._values is None:
+        if set(map(type, v.amplitudes.values())) != {complex}:
+            return None
+        occ = _occupation_matrix(v)
+        if occ is None:
+            return None
+        amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(occ))
+    else:
+        occ, amps = v._rows, v._values
     if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(coeffs))):
         return None
     cap = space.occupation_cap
@@ -543,7 +543,7 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     del acc_re, acc_im, present, inserted_by, kept
     rows = occ[src[idx]]
     rows[np.arange(len(rows)), mode_slots[np.searchsorted(bounds, idx, side="right") - 1]] += 1
-    return _array_state(space, rows, values, kinds.pop())
+    return _array_state(space, rows, values)
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
@@ -578,14 +578,13 @@ def number_expectation(v: FockVector, mode=None, species=None) -> float:
         hi = lo + space.num_modes
     else:
         lo, hi = 0, space.num_slots
-    if _size(v) >= ARRAY_CUTOFF:
-        occ = _occupation_matrix(v)
-        if occ is not None:
-            if v._weights is None:
-                amps = _value_array(v)
-                v._weights = amps.real * amps.real + amps.imag * amps.imag
-            counts = occ[:, lo] if hi == lo + 1 else np.sum(occ[:, lo:hi], axis=1)
-            return float(np.sum(v._weights * counts))
+    if v._values is not None and len(v._values) >= ARRAY_CUTOFF:
+        if v._weights is None:
+            amps = v._values
+            v._weights = amps.real * amps.real + amps.imag * amps.imag
+        occ = v._rows
+        counts = occ[:, lo] if hi == lo + 1 else np.sum(occ[:, lo:hi], axis=1)
+        return float(np.sum(v._weights * counts))
     if hi == lo + 1:
         return float(sum(abs(a) ** 2 * occ[lo] for occ, a in v.amplitudes.items()))
     return float(sum(abs(a) ** 2 * sum(occ[lo:hi]) for occ, a in v.amplitudes.items()))

@@ -256,6 +256,10 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
     n = _integer("n", n)
     if n < 1:
         raise ValueError("need at least one draw")
+    if seed is not None:
+        seed = _integer("seed", seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed!r}")
     if not rho._max_coherence() <= 1e-12:
         raise ValueError("density matrix has coherences; decohere before sampling")
     probs = np.clip(rho.diagonal(), 0.0, None)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -647,6 +648,33 @@ def test_several_edge_parameters_run_or_exit_2_with_one_error_line(argv):
             assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def flags_as_config(argv):
+    """A config file's text holding argv's --name value pairs in the section of its scenario."""
+    lines = [f"[{argv[0]}]"]
+    lines += [f"{flag.removeprefix('--').replace('-', '_')} = {value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    return "\n".join(lines) + "\n"
+
+
+# The flag test's examples (both are derandomized); about 2.5 s.
+@settings(max_examples=350, derandomize=True, database=None, deadline=None)
+@example(["causality", "--dx", "1e200", "--mass", "0"])
+@given(several_edge_parameters())
+def test_several_edge_parameters_from_a_config_file_equal_the_flag_run(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = pathlib.Path(tmp) / "out"
+        config = pathlib.Path(tmp) / "run.ini"
+        config.write_text(flags_as_config(argv))
+        runs = []
+        for call_argv in (argv, [argv[0], "--config", str(config)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, out, err = call_in_process([*call_argv, "--out-dir", str(out_dir)])
+            runs.append((rc, out, err, written_files(out_dir)))  # sidecars without their timestamp
+            shutil.rmtree(out_dir, ignore_errors=True)
+        assert runs[0][0] in (0, 2), runs[0][2]
+        assert runs[1] == runs[0]
+
+
 @pytest.mark.parametrize("argv, names", [
     (["causality", "--dx", "1e200", "--mass", "0"], ["mass 0.0", "dx 1e+200"]),
     (["causality", "--dx", "1e200", "--mass", "5e-324"], ["mass 5e-324", "dx 1e+200"]),
@@ -961,6 +989,23 @@ def test_runtime_loads_no_scipy_or_test_modules():
     loaded = set(ast.literal_eval(done.stdout))
     assert "numpy" in loaded
     assert not loaded & {"scipy", "hypothesis", "pytest", "_pytest"}
+
+
+def test_import_loads_only_numpy_and_fockfield_beyond_the_standard_library_and_builds_no_parser():
+    # guards the fresh-interpreter import time: a site may load packages of its
+    # own at startup (certifi, _distutils_hack), so compare with a bare interpreter
+    def loaded(code):
+        done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    (bare,) = loaded("import sys; print(sorted(sys.modules))")
+    modules, parsers = loaded("import sys, fockfield, fockfield.cli; print(sorted(sys.modules)); "
+                              "print(fockfield.cli._parser.cache_info().currsize)")
+    new = {m.split(".")[0] for m in set(ast.literal_eval(modules)) - set(ast.literal_eval(bare))}
+    assert new - sys.stdlib_module_names == {"fockfield", "numpy"}
+    assert parsers == "0"
 
 
 def test_help_of_the_reused_parser_equals_a_fresh_parser(monkeypatch):

@@ -466,3 +466,44 @@ def test_nan_fails_the_lattice_and_normalization_checks(call, message):
 def test_coherent_state_rejects_non_finite_and_huge_amplitudes(alpha, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         coherent_state([alpha, 0.0], ModeSpace(2, Statistics.BOSE, nmax=12))
+
+
+@pytest.mark.parametrize("x_index, p_index, name", [
+    (1.5, 0, "x_index"),
+    (1.0, 0, "x_index"),
+    (None, 0, "x_index"),
+    (0, np.float64(2.0), "p_index"),
+    (0, "2", "p_index"),
+])
+def test_overlap_rejects_non_integral_indices_naming_them(x_index, p_index, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        overlap(LAT8, x_index, p_index)
+
+
+def test_overlap_takes_numpy_integers_and_bools_as_ints():
+    assert overlap(LAT8, np.int64(3), True) == overlap(LAT8, 3, 1)
+
+
+def test_number_density_rejects_a_non_integral_site_naming_it():
+    v = vacuum(site_mode_space(LAT8))
+    with pytest.raises(ValueError, match="^mode must be an integer, got 0.5$"):
+        number_density(v, 0.5)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((8, float("inf"), 1.0), "spacing must be finite, got inf"),
+    ((8, -float("inf"), 1.0), "spacing must be positive"),
+    ((8.5, 1.0, 1.0), "num_sites must be an integer, got 8.5"),
+    ((NAN, 1.0, 1.0), "num_sites must be an integer, got nan"),
+    (("8", 1.0, 1.0), "num_sites must be an integer, got '8'"),
+])
+def test_lattice_rejects_an_infinite_spacing_and_a_non_integral_size(args, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        LatticeSpec(*args)
+
+
+def test_lattice_takes_an_integral_size_as_an_int():
+    lattice = LatticeSpec(8.0, 1.0, 1.0)
+    assert lattice == LAT8 and type(lattice.num_sites) is int
+    assert lattice.wavenumbers.dtype == LAT8.wavenumbers.dtype
+    assert np.array_equal(LatticeSpec(np.int64(8), 1.0, 1.0).positions, LAT8.positions)

@@ -403,6 +403,10 @@ def test_property_transformed_create_kernel_equals_dict_loop_bitwise(case):
     v, coeffs, species = case
     got = kernel_transformed_create(v, coeffs, species)
     want = loop_transformed_create(v, coeffs, species)
+    if not all(type(a) is complex for a in v.amplitudes.values()):
+        assert got is None  # np.complex128 amplitudes stay on the loop
+        got = transformed_create(v, coeffs, species)
+    assert v._rows is None and v._values is None and v._weights is None
     ops = [dense_operator(v.mode_space, "create", m, species) for m in range(v.mode_space.num_modes)]
     assert exact_items(got) == exact_items(want)
     dense = sum((c * op for c, op in zip(coeffs, ops)), np.zeros_like(ops[0])) @ to_dense(v)
@@ -484,6 +488,9 @@ def test_kernel_overflow_is_silent_and_equals_the_loop(pattern, numpy_amplitudes
         got = kernel_transformed_create(v, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):  # np.complex128 products warn
         want = loop_transformed_create(v, coeffs)
+        if numpy_amplitudes:
+            assert got is None  # np.complex128 amplitudes stay on the loop
+            got = transformed_create(v, coeffs)
     assert got is not None
     assert exact_items(got) == exact_items(want)
     assert not all(np.isfinite(a) for a in want.amplitudes.values())
@@ -591,12 +598,11 @@ def test_kernel_equals_dict_loop_on_keys_of_several_words(space, species, seed):
 
 
 def array_born(v):
-    """v's components stored as a kernel stores them: occupation rows, values, amplitude type."""
-    (kind,) = {type(a) for a in v.amplitudes.values()}
+    """v's components stored as a kernel stores them: occupation rows and complex values."""
     space = v.mode_space
     rows = np.array(list(v.amplitudes), dtype=fock._occupation_dtype(space.occupation_cap))
     values = np.array(list(v.amplitudes.values()), dtype=complex)
-    return fock._array_state(space, rows.reshape(len(values), space.num_slots), values, kind)
+    return fock._array_state(space, rows.reshape(len(values), space.num_slots), values)
 
 
 def loop_ladder(kind, v, mode, species=0):
@@ -627,14 +633,22 @@ def test_array_born_ladder_equals_dict_loop_bitwise(name, numpy_amplitudes, seed
     parts = rng.choice(LADDER_PARTS, size=(len(states), 2), p=[0.2, 0.2] + [0.6 / 7] * 7)
     kind = np.complex128 if numpy_amplitudes else complex
     v = FockVector(space, {k: kind(complex(re, im)) for k, (re, im) in zip(states, parts.tolist())})
-    a = array_born(v)
+    # only a dict-born state holds np.complex128 amplitudes, and its ladder steps stay on the loop
+    a = v if numpy_amplitudes else array_born(v)
     for species in range(space.species_count):
         for mode in range(space.num_modes):
             for op in ("create", "annihilate"):
-                got = getattr(fock, op)(a, mode, species)
-                assert got._values is not None and "amplitudes" not in vars(got)
+                with np.errstate(over="ignore"):  # np.complex128 products warn on overflow
+                    got = getattr(fock, op)(a, mode, species)
+                if numpy_amplitudes:
+                    assert got._rows is None and got._values is None
+                else:
+                    assert got._values is not None and "amplitudes" not in vars(got)
                 assert exact_items(got) == exact_items(loop_ladder(op, v, mode, species))
-    assert "amplitudes" not in vars(a)
+    if numpy_amplitudes:
+        assert a._rows is None and a._values is None
+    else:
+        assert "amplitudes" not in vars(a)
 
 
 @pytest.mark.parametrize("part", [math.inf, -math.inf, math.nan])
@@ -700,9 +714,11 @@ def test_chains_of_array_born_operations_equal_the_dict_loops(statistics, nmax, 
         if ladder_kernel_runs:
             on_arrays += 1
             assert got._values is not None and "amplitudes" not in vars(got), kind
+        if numpy_amplitudes:  # np.complex128 amplitudes never reach a kernel
+            assert got._rows is None and got._values is None, kind
         assert struct.pack("<d", got.norm) == struct.pack("<d", want.norm), kind
         assert exact_items(got) == exact_items(want), kind
-    assert on_arrays >= 3
+    assert on_arrays == 0 if numpy_amplitudes else on_arrays >= 3
 
 
 @pytest.mark.parametrize("statistics, modes, nmax", [(Statistics.BOSE, 32, 4), (Statistics.FERMI, 24, 1)],
@@ -742,9 +758,9 @@ def cached_state():
     return v
 
 
-def test_dict_born_state_stays_dict_born_once_a_kernel_fills_its_rows():
-    # number_expectation and transformed_create fill _rows from the keys;
-    # _values stays None, so create and annihilate stay on the dict loops
+def test_dict_born_state_carries_no_arrays_after_a_kernel_reads_it():
+    # transformed_create's kernel reads the keys into local rows; number_expectation
+    # and the ladder steps of a dict-born state run on the dict loops
     space = ModeSpace(4, Statistics.BOSE, nmax=3)
     rng = np.random.default_rng(13)
     keys = list(space.basis_states())
@@ -753,9 +769,14 @@ def test_dict_born_state_stays_dict_born_once_a_kernel_fills_its_rows():
     amps /= np.linalg.norm(amps)
     v = FockVector(space, {k: complex(a) for k, a in zip(keys, amps)})
     plain = FockVector(space, dict(v.amplitudes))
-    number_expectation(v, 1)
-    transformed_create(v, [0.5, -1j, 0.25, 0.0])
-    assert v._rows is not None and v._values is None
+    with dict_path():
+        want = number_expectation(plain, 1)
+    assert struct.pack("<d", number_expectation(v, 1)) == struct.pack("<d", want)
+    coeffs = [0.5, -1j, 0.25, 0.0]
+    got = transformed_create(v, coeffs)
+    assert got._values is not None
+    assert exact_items(got) == exact_items(loop_transformed_create(plain, coeffs))
+    assert v._rows is None and v._values is None and v._weights is None
     assert v == plain and plain == v
     assert repr(v) == repr(plain)
     for mode in range(space.num_modes):
@@ -763,7 +784,27 @@ def test_dict_born_state_stays_dict_born_once_a_kernel_fills_its_rows():
             got = getattr(fock, kind)(v, mode)
             assert got._values is None
             assert exact_items(got) == exact_items(loop_ladder(kind, plain, mode))
-    assert v._values is None
+    assert v._rows is None and v._values is None and v._weights is None
+
+
+@pytest.mark.parametrize("components, kernel_runs", [(255, False), (256, True)])
+def test_number_expectation_cutoff_edges(components, kernel_runs):
+    # the kernel runs on an array-born state of at least ARRAY_CUTOFF components
+    # only; every mode, each species and the net total
+    space = LADDER_SPACES["bose-2-species"]
+    keys = list(space.basis_states())[:components]
+    amps = np.array([complex(1 + i % 5, i % 3 - 1) for i in range(components)])
+    v = FockVector(space, dict(zip(keys, (amps / np.linalg.norm(amps)).tolist())))
+    a = array_born(v)
+    queries = [dict(mode=m, species=s) for m in range(2) for s in (0, 1)] + [dict(species=0), dict(species=1), {}]
+    for query in queries:
+        with dict_path():
+            want = number_expectation(v, **query)
+        assert number_expectation(a, **query) == pytest.approx(want, rel=1e-13, abs=1e-13), query
+        assert number_expectation(v, **query) == want, query
+    assert (a._weights is not None) is kernel_runs
+    assert ("amplitudes" in vars(a)) is not kernel_runs
+    assert v._rows is None and v._values is None and v._weights is None
 
 
 def test_equality_and_repr_ignore_the_caches():
@@ -831,3 +872,41 @@ def test_mode_space_takes_integral_floats_and_numpy_integers_as_ints():
     assert all(type(n) is int for n in (space.num_modes, space.nmax, space.species_count))
     assert vacuum(space).amplitudes == {(0, 0): 1.0}
     assert len(list(space.basis_states())) == 9
+
+
+SPACE_2_SPECIES = ModeSpace(3, Statistics.BOSE, nmax=3, species_count=2)
+ONE_BOSON = basis_state(SPACE_2_SPECIES, (1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: create(ONE_BOSON, 1.0), "mode"),
+    (lambda: annihilate(ONE_BOSON, 0.0), "mode"),
+    (lambda: create(ONE_BOSON, 0, species=0.0), "species"),
+    (lambda: annihilate(ONE_BOSON, None), "mode"),
+    (lambda: create(ONE_BOSON, "1"), "mode"),
+    (lambda: transformed_create(ONE_BOSON, [1.0, 0.5, 0.0], species=0.0), "species"),
+    (lambda: transformed_create(ONE_BOSON, [0.0, 0.0, 0.0], species=1.0), "species"),
+    (lambda: number_expectation(ONE_BOSON, 0.5), "mode"),
+    (lambda: number_expectation(ONE_BOSON, species=np.float64(1.0)), "species"),
+    (lambda: SPACE_2_SPECIES.slot(np.float64(2.0), 1.5), "mode"),
+], ids=["create", "annihilate", "create-species", "none", "string", "transformed-create-species",
+        "transformed-create-null", "number-expectation", "number-expectation-species", "slot"])
+def test_non_integral_mode_and_species_raise_value_errors_naming_them(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("occupations", [(None, 0, 0, 0, 0, 0), ("1", 0, 0, 0, 0, 0), (0.5, 0, 0, 0, 0, 0)])
+def test_basis_state_rejects_non_integral_occupations_naming_them(occupations):
+    with pytest.raises(ValueError, match="^occupations must be integers, got "):
+        basis_state(SPACE_2_SPECIES, occupations)
+
+
+def test_numpy_integers_and_bools_index_modes_and_species_as_ints():
+    want = create(ONE_BOSON, 1, 1)
+    for mode, species in [(np.int64(1), np.int8(1)), (True, True), (np.uint16(1), 1)]:
+        assert exact_items(create(ONE_BOSON, mode, species)) == exact_items(want)
+        assert SPACE_2_SPECIES.slot(mode, species) == 4
+        assert type(SPACE_2_SPECIES.slot(mode, species)) is int
+    assert exact_items(annihilate(ONE_BOSON, np.int32(0))) == exact_items(annihilate(ONE_BOSON, 0))
+    assert number_expectation(ONE_BOSON, np.int64(0), False) == number_expectation(ONE_BOSON, 0, 0) == 1.0

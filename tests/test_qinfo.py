@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -425,3 +427,26 @@ def test_sample_outcomes_takes_an_integral_float_or_numpy_count_as_the_int():
     want = sample_outcomes(rho, 10, 3)
     assert np.array_equal(sample_outcomes(rho, 10.0, 3), want)
     assert np.array_equal(sample_outcomes(rho, np.int64(10), 3), want)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (NAN, "seed must be an integer, got nan"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be >= 0, got -1"),
+])
+def test_sample_outcomes_rejects_a_bad_seed_naming_it(seed, message):
+    rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_outcomes(rho, 10, seed)
+
+
+def test_sample_outcomes_keeps_the_counts_of_integer_seeds():
+    rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
+    probs = np.clip(rho.diagonal(), 0.0, None)
+    probs = probs / probs.sum()
+    for seed in (0, 3, 2**40):
+        want = np.random.default_rng(seed).multinomial(10, probs)
+        for same in (seed, np.int64(seed), float(seed)):
+            assert np.array_equal(sample_outcomes(rho, 10, same), want)
+    assert sample_outcomes(rho, 10, None).sum() == 10
