@@ -45,9 +45,9 @@ from .field import (
     site_mode_space,
 )
 from .fock import (
-    FockVector,
     ModeSpace,
     Statistics,
+    _ladder_rows,
     annihilate,
     create,
     inner,
@@ -55,6 +55,7 @@ from .fock import (
 )
 from .qinfo import (
     GENERATOR_NAME,
+    MAX_DRAWS,
     TRACE_TOL,
     MeasurementModel,
     born_distribution,
@@ -149,7 +150,7 @@ PARAMETERS = {
     "measure": {
         "weights": Param(_parse_float_list, (0.25, 0.75), "outcome weights |f|^2 (comma separated)", lo=0),
         "apparatus_energy": Param(float, 1e6),
-        "n_samples": Param(int, 100000, lo=1, hi=2**63 - 1),  # numpy's multinomial takes the count as a C long
+        "n_samples": Param(int, 100000, lo=1, hi=MAX_DRAWS),
         "seed": Param(int, 0),
     },
 }
@@ -268,8 +269,8 @@ def _ladder_relation_residuals(spaces, rng, n_pairs: int) -> list:
     one draw whose bounds repeat (radix**modes, modes, modes): numpy draws
     each element with its own bounded draw, so the values and the generator
     state afterwards equal one scalar draw per number.  The relations then
-    run once per (a, b), on the superposition of that mode pair's distinct
-    basis states.
+    act on the block's decoded rows in one pass of fock's ladder step, each
+    row with its own a and b (see ``_relation_values``).
     """
     radixes = []
     for space in spaces:
@@ -290,33 +291,42 @@ def _ladder_relation_residuals(spaces, rng, n_pairs: int) -> list:
         block = max(1, _BLOCK_ELEMENTS // (modes + 3))  # pairs: 3 draws and `modes` digits each
         for start in range(0, n_pairs, block):
             draws = rng.integers(0, np.tile(bounds, min(block, n_pairs - start))).reshape(-1, 3)
-            groups: dict = {}
-            for occ, a, b in zip(_digit_rows(draws[:, 0], radix, modes).tolist(), *draws[:, 1:].T.tolist()):
-                groups.setdefault((a, b), {})[tuple(occ)] = 1.0 + 0.0j
-            for (a, b), states in groups.items():
-                s = FockVector(space, states)
-                w = annihilate(create(s, b), a) + sign * create(annihilate(s, a), b)
-                worst["exchange"] = max(worst["exchange"], _pair_max(w - s if a == b else w))
-                if bose:
-                    s = FockVector(space, {occ: amp for occ, amp in states.items() if max(occ) <= space.nmax - 2})
-                w2 = create(create(s, b), a) + sign * create(create(s, a), b)
-                w3 = annihilate(annihilate(s, b), a) + sign * annihilate(annihilate(s, a), b)
-                worst["create-create"] = max(worst["create-create"], _pair_max(w2))
-                worst["annihilate-annihilate"] = max(worst["annihilate-annihilate"], _pair_max(w3))
+            rows, a, b = _digit_rows(draws[:, 0], radix, modes), draws[:, 1], draws[:, 2]
+            w = _relation_values(space, rows, a, b, -1, 1, sign)
+            w[a == b] -= 1.0
+            residuals = {"exchange": w}
+            if bose:  # two creations could cross the truncation
+                low = rows.max(axis=1) <= space.nmax - 2
+                rows, a, b = rows[low], a[low], b[low]
+            residuals["create-create"] = _relation_values(space, rows, a, b, 1, 1, sign)
+            residuals["annihilate-annihilate"] = _relation_values(space, rows, a, b, -1, -1, sign)
+            for relation, w in residuals.items():
+                # one pair's residual is FockVector.norm of its one-component
+                # vector, math.sqrt(abs(w) ** 2), which grows with abs(w)
+                largest = float(np.max(np.abs(w), initial=0.0))
+                worst[relation] = max(worst[relation], math.sqrt(largest ** 2))
         results.append(worst)
     return results
 
 
-def _pair_max(w: FockVector) -> float:
-    """The largest single-pair residual in w, the result of one relation on
-    one (a, b) group; 0.0 for the null element.
+def _relation_values(space, rows, a, b, step_a: int, step_b: int, sign: float) -> np.ndarray:
+    """Per row i, X Y s + sign · Y X s on the basis state s = rows[i], with
+    X the ladder step step_a in mode a[i] and Y step_b in mode b[i].
 
-    For fixed (a, b) each operator maps distinct basis states to distinct
-    basis states, so each component of w is one pair's residual, from the
-    float operations of that pair alone; math.sqrt(abs(v) ** 2) is then
-    FockVector.norm of the one-component vector bit for bit.
+    Both terms land on the same basis state, so each is one value per row;
+    a term that leaves the truncation is 0.  The value is the real part of
+    the dict loop's amplitude: ``fock._ladder_rows`` scales as the loop
+    does, a basis state's amplitude keeps an imaginary part of 0, and the
+    sum takes the float operations of ``FockVector.__add__``.
     """
-    return max((math.sqrt(abs(v) ** 2) for v in w.amplitudes.values()), default=0.0)
+    w = np.zeros(len(rows))
+    ones = np.ones(len(rows), complex)
+    x, y = (a, step_a), (b, step_b)
+    for (first, step1), (second, step2), scale in ((y, x, 1.0), (x, y, sign)):
+        kept, moved, values = _ladder_rows(space, rows, ones, first, step1)
+        again, _, values = _ladder_rows(space, moved, values, second[kept], step2)
+        w[kept[again]] += scale * values.real
+    return w
 
 
 def _digit_rows(indices: np.ndarray, radix: int, modes: int) -> np.ndarray:

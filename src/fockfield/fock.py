@@ -25,12 +25,16 @@ when something reads it.  The kernels run once the work reaches
 coefficients) adds the modes' contributions in one numpy round per mode,
 in the loop's order, reading a dict-born input's keys into local rows;
 the ladder step (components of an array-born input) keeps and scales the
-rows the loop keeps; ``number_expectation`` (components of an array-born
-input) reduces the occupation rows and an |amplitude|² vector cached on
-the state.  The dict built from a kernel's result equals the loop's in
-keys, insertion order, amplitude bits and types; the
-``number_expectation`` kernel sums pairwise, so it agrees with the loop
-to rounding.  Every state the CLI builds is below the cutoff.
+rows the loop keeps, in ``_ladder_rows``; ``number_expectation``
+(components of an array-born input) reduces the occupation rows and an
+|amplitude|² vector cached on the state.  The dict built from a kernel's
+result equals the loop's in keys, insertion order, amplitude bits and
+types; the ``number_expectation`` kernel sums pairwise, so it agrees with
+the loop to rounding.  Every state the CLI builds is below the cutoff.
+
+``_ladder_rows`` also takes one slot per row, with the same float
+operations, so a set of basis states can each take a ladder step in its
+own mode in one pass; the CLI's ladder-relation check runs on it.
 """
 
 from __future__ import annotations
@@ -332,37 +336,60 @@ def _ladder(v: FockVector, slot: int, step: int) -> FockVector:
 
 
 def _ladder_kernel(v: FockVector, slot: int, step: int):
-    """create (step 1) or annihilate (step -1) on an array-born state, as the loop.
-
-    Keeps the rows the loop keeps, in order, with step added in the slot,
-    and scales both parts of each amplitude by s = √(n+1), √n or the
-    Jordan-Wigner sign.  For a finite amplitude that is the loop's
-    ``0.0 + amp * s``: the complex product's cross terms are zeros, and
-    adding 0.0 turns a -0.0 part into +0.0.  As there, an amplitude that
+    """create (step 1) or annihilate (step -1) on an array-born state, as the
+    loop: ``_ladder_rows`` on its rows, and, as there, an amplitude that
     comes out exactly zero is dropped.  Returns None, for the loop to run,
     when an amplitude is not finite (where inf·0 cross terms matter).
     """
     values = v._values
     if not np.all(np.isfinite(values)):
         return None
-    space, occ = v.mode_space, v._rows
-    n = occ[:, slot]
+    _, rows, values = _ladder_rows(v.mode_space, v._rows, values, slot, step)
+    nonzero = values != 0.0
+    if not np.all(nonzero):
+        rows, values = rows[nonzero], values[nonzero]
+    return _array_state(v.mode_space, rows, values)
+
+
+def _ladder_rows(space: ModeSpace, rows: np.ndarray, values: np.ndarray, slot, step: int):
+    """One ladder step on occupation rows and their finite complex amplitudes.
+
+    ``slot`` is one slot for every row or an array of one slot per row.
+    Returns (kept, rows, values): the indices of the rows the loop keeps
+    (0 ≤ n + step ≤ cap in their slot), in order; those rows with step
+    added in the slot; and their amplitudes with both parts scaled by
+    s = √(n+1), √n or the Jordan-Wigner sign.  For a finite amplitude that
+    is the loop's ``0.0 + amp * s``: the complex product's cross terms are
+    zeros, and adding 0.0 turns a -0.0 part into +0.0.  Exact zeros are kept.
+    """
+    # one slot for all rows takes a column; a slot per row, one entry per row
+    per_row = isinstance(slot, np.ndarray)
+    at = np.arange(len(rows)) if per_row else slice(None)
+    n = rows[at, slot]
     kept = np.flatnonzero(n < space.occupation_cap if step > 0 else n > 0)
-    rows = occ[kept]
-    rows[:, slot] += step
+    if per_row:
+        at, slot = at[:len(kept)], slot[kept]
+    rows = rows[kept]
+    rows[at, slot] += step
     if space.statistics is _FERMI:
-        s = 1.0 - 2.0 * (np.sum(rows[:, :slot], axis=1) % 2)
+        s = _jw_signs(rows, slot)
     else:
         s = np.sqrt(n[kept] + (1.0 if step > 0 else 0.0))
+    out = np.empty(len(kept), complex)
     with np.errstate(over="ignore"):  # the loop's Python complex overflows to inf silently
-        re = values.real[kept] * s + 0.0
-        im = values.imag[kept] * s + 0.0
-    nonzero = (re != 0.0) | (im != 0.0)
-    if not np.all(nonzero):
-        rows, re, im = rows[nonzero], re[nonzero], im[nonzero]
-    out = np.empty(len(rows), complex)
-    out.real, out.imag = re, im
-    return _array_state(space, rows, out)
+        out.real = values.real[kept] * s + 0.0
+        out.imag = values.imag[kept] * s + 0.0
+    return kept, rows, out
+
+
+def _jw_signs(rows: np.ndarray, slot) -> np.ndarray:
+    """Each row's Jordan-Wigner sign (−1)^(occupied slots below its slot),
+    ``slot`` being one slot for every row or one per row."""
+    if isinstance(slot, np.ndarray):
+        below = rows * (np.arange(rows.shape[1]) < slot[:, None])
+    else:
+        below = rows[:, :slot]
+    return 1.0 - 2.0 * (np.sum(below, axis=1) % 2)
 
 
 def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
@@ -370,12 +397,14 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
 
     B† = Σ_α c_α A†_α with c_α the overlap of the old basis vector α with
     the new one.  All-zero coefficients are allowed and produce the null
-    element.
+    element; a coefficient that is not finite raises ValueError.
     """
     space = v.mode_space
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.num_modes,):
         raise ValueError(f"expected {space.num_modes} coefficients, got {coeffs.shape}")
+    if not np.isfinite(coeffs).all():
+        raise ValueError(f"coeffs must be finite, got {coeffs.tolist()!r}")
     base_slot = space.slot(0, species)
     modes = [mode for mode, c in enumerate(coeffs) if c != 0.0]
     if _size(v) * len(modes) >= ARRAY_CUTOFF:
@@ -451,7 +480,7 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
     keys are read into local rows, and v is left as it was.  Returns None,
     for the loop to run, when a dict-born v holds an amplitude that is not
     a Python complex or keys that have no occupation matrix, or when an
-    amplitude or coefficient is not finite (where inf·0 terms matter).
+    amplitude is not finite (where inf·0 terms matter).
     """
     space = v.mode_space
     if v._values is None:
@@ -463,7 +492,7 @@ def _transformed_create_kernel(v: FockVector, coeffs, modes, base_slot: int):
         amps = np.fromiter(v.amplitudes.values(), dtype=complex, count=len(occ))
     else:
         occ, amps = v._rows, v._values
-    if not (np.all(np.isfinite(amps)) and np.all(np.isfinite(coeffs))):
+    if not np.all(np.isfinite(amps)):
         return None
     cap = space.occupation_cap
     bits = cap.bit_length()

@@ -21,6 +21,7 @@ from .fock import NORM_TOL, _integer
 
 GENERATOR_NAME = "numpy.random.PCG64"
 SCHMIDT_CUTOFF = 1e-12
+MAX_DRAWS = 2**63 - 1  # numpy's multinomial takes the number of draws as a C long
 
 
 @dataclass
@@ -254,8 +255,8 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
     sub-streams via numpy SeedSequence.spawn rather than reusing the seed.
     """
     n = _integer("n", n)
-    if n < 1:
-        raise ValueError("need at least one draw")
+    if not 1 <= n <= MAX_DRAWS:
+        raise ValueError(f"n must be in [1, {MAX_DRAWS}], got {n!r}")
     if seed is not None:
         seed = _integer("seed", seed)
         if seed < 0:
@@ -271,4 +272,6 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
 def pointer_outcome_counts(counts: np.ndarray, dims) -> np.ndarray:
     """Fold flat product-space counts onto the pointer diagonal (λ, λ)."""
     d_a, d_b = dims
+    if np.size(counts) != d_a * d_b:
+        raise ValueError(f"counts has {np.size(counts)} entries, but dims {tuple(dims)} need {d_a * d_b}")
     return counts.reshape(d_a, d_b).diagonal().copy()

@@ -338,8 +338,25 @@ def test_verify_empty_tag_exits_2_naming_it(capsys, only):
 
 
 def drop_jordan_wigner_string(monkeypatch):
-    # every fermion sign +1: distinct modes then commute instead of anticommuting
+    # every fermion sign +1, on the dict loop and on the array rows: distinct
+    # modes then commute instead of anticommuting
     monkeypatch.setattr(fock, "_jw_sign", lambda occ, slot: 1.0)
+    monkeypatch.setattr(fock, "_jw_signs", lambda rows, slot: np.ones(len(rows)))
+
+
+def test_dropped_jordan_wigner_string_reaches_the_array_ladder(monkeypatch):
+    # every 8-mode fermion basis state, array-born: create takes the kernel
+    space = ModeSpace(8, Statistics.FERMI)
+    states = np.array(list(space.basis_states()), dtype=np.int8)
+    assert len(states) >= fock.ARRAY_CUTOFF
+    v = fock._array_state(space, states, np.ones(len(states), complex))
+    signed = fock.create(v, 7)
+    drop_jordan_wigner_string(monkeypatch)
+    unsigned = fock.create(v, 7)
+    assert signed._values is not None and unsigned._values is not None
+    assert np.array_equal(unsigned._rows, signed._rows)
+    assert np.array_equal(unsigned._values, np.ones(len(signed._values)))
+    assert np.any(signed._values == -1.0)
 
 
 def test_verify_injected_fault_fails_eq3(capsys, monkeypatch):
@@ -607,8 +624,8 @@ def test_edge_floats_run_or_exit_2_with_one_error_line(tmp_path, scenario, name,
 
 def edge_texts(name, param):
     """The values an example of several parameters draws for one parameter: an int's lo, lo + 1 and
-    hi, except the hi of M and pairs (one run there takes 15-30 s or 6.4 s); a float's or a
-    one-entry list's edge floats and declared bounds."""
+    hi, except the hi of M and pairs (one run there takes 15-30 s or about 1.3 s; pairs' hi is an
+    explicit example of the flag test); a float's or a one-entry list's edge floats and declared bounds."""
     if param.type is int:
         lo = 0 if param.lo is None else param.lo
         return [str(lo), str(lo + 1)] + ([] if param.hi is None or name in ("M", "pairs") else [str(param.hi)])
@@ -634,6 +651,7 @@ def several_edge_parameters(draw):
 
 @settings(max_examples=350, derandomize=True, database=None, deadline=None)
 @example(["causality", "--dx", "1e200", "--mass", "0"])  # every p_eff² underflows, so every frequency is 0
+@example(["fock-check", "--pairs", str(MAX_PAIRS)])
 @given(several_edge_parameters())
 def test_several_edge_parameters_run_or_exit_2_with_one_error_line(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -458,11 +458,12 @@ def test_kernel_occupations_above_int8_do_not_wrap():
     assert got._rows is not None and got._rows.dtype == np.int16
     assert exact_items(got) == exact_items(loop_transformed_create(v, coeffs))
     assert max(max(k) for k in got.amplitudes) == 300
-    w = got.normalized()
+    w = array_born(got.normalized())
     for mode in range(2):
         with dict_path():
             want = number_expectation(w, mode)
         assert number_expectation(w, mode) == pytest.approx(want, rel=1e-13)
+    assert w._rows.dtype == np.int16 and w._weights is not None  # the kernel ran
 
 
 # amplitudes near the largest double: products overflow to inf and inf - inf
@@ -529,7 +530,7 @@ def test_large_number_expectation_matches_dict_loop(statistics):
     v = vacuum(space)
     for species in (0, 1, 0, 1):
         v = transformed_create(v, rng.normal(size=8) + 1j * rng.normal(size=8), species)
-    v = v.normalized()
+    v = array_born(v.normalized())
     assert len(v.amplitudes) >= fock.ARRAY_CUTOFF
     queries = [dict(mode=m, species=s) for m in range(8) for s in (0, 1)]
     queries += [dict(species=0), dict(species=1), {}]
@@ -539,6 +540,7 @@ def test_large_number_expectation_matches_dict_loop(statistics):
             want = number_expectation(v, **query)
         assert abs(got - want) <= 1e-13 * abs(want), query
     assert abs(number_expectation(v)) <= 1e-13
+    assert v._weights is not None  # the kernel ran
 
 
 @pytest.mark.parametrize("statistics, modes, nmax, components", [
@@ -671,6 +673,67 @@ def test_array_born_ladder_to_the_null_element():
     got = create(array_born(v), 0)
     assert got._values is not None and got.is_null and got.norm == 0.0
     assert got == loop_ladder("create", v, 0) == FockVector(space, {})
+
+
+def ladder_rows_items(kept, rows, values):
+    """{input row: (occupations, amplitude bits)} of a _ladder_rows result,
+    without the exact zeros that the loop drops."""
+    return {i: (tuple(row), struct.pack("<dd", z.real, z.imag))
+            for i, row, z in zip(kept.tolist(), rows.tolist(), values.tolist()) if z != 0}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", LADDER_SPACES)
+def test_ladder_rows_with_a_slot_per_row_equal_the_dict_loop_bitwise(name, seed):
+    # every basis state, so each slot is met at 0 and at its cap, each row
+    # stepped in its own slot of either species
+    space = LADDER_SPACES[name]
+    states = list(space.basis_states())
+    rows = np.array(states, dtype=fock._occupation_dtype(space.occupation_cap))
+    rng = np.random.default_rng(seed)
+    parts = rng.choice(LADDER_PARTS, size=(len(states), 2), p=[0.2, 0.2] + [0.6 / 7] * 7)
+    values = np.empty(len(states), complex)
+    values.real, values.imag = parts.T  # signed zeros kept
+    slots = rng.integers(space.num_slots, size=len(states))
+    assert {0, space.occupation_cap} <= set(rows[np.arange(len(rows)), slots].tolist())
+    for step, kind in ((1, "create"), (-1, "annihilate")):
+        got = ladder_rows_items(*fock._ladder_rows(space, rows, values, slots, step))
+        want = {}
+        for i, (occ, amp, slot) in enumerate(zip(states, values.tolist(), slots.tolist())):
+            species, mode = divmod(slot, space.num_modes)
+            for key, a in loop_ladder(kind, FockVector(space, {occ: amp}), mode, species).amplitudes.items():
+                want[i] = (key, struct.pack("<dd", a.real, a.imag))
+        assert got == want, (kind, seed)
+    assert np.array_equal(rows, states)  # the input rows are left as they were
+
+
+@pytest.mark.parametrize("name", ["bose-2-species", "fermi-2-species"])
+def test_ladder_rows_with_one_slot_repeated_equal_the_column_step(name):
+    space = LADDER_SPACES[name]
+    rows = np.array(list(space.basis_states()), dtype=np.int8)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    for slot in range(space.num_slots):
+        for step in (1, -1):
+            kept, got_rows, got = fock._ladder_rows(space, rows, values, np.full(len(rows), slot), step)
+            want_kept, want_rows, want = fock._ladder_rows(space, rows, values, slot, step)
+            assert np.array_equal(kept, want_kept)
+            assert got_rows.dtype == want_rows.dtype and np.array_equal(got_rows, want_rows)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(0.0, -math.inf)])
+def test_transformed_create_rejects_non_finite_coefficients_naming_them(bad):
+    # a dict-born input (the loop's size) and an array-born one (the kernel's)
+    space = LADDER_SPACES["bose"]
+    dict_born = vacuum(space)
+    keys = list(space.basis_states())
+    arrays = array_born(FockVector(space, {k: complex(1 + i % 3, -1) for i, k in enumerate(keys)}))
+    for v in (dict_born, arrays):
+        with pytest.raises(ValueError, match=r"^coeffs must be finite, got \["):
+            transformed_create(v, [bad, 1, 0, 0])
+    with pytest.raises(ValueError, match="^coeffs must be finite"):
+        transformed_create(vacuum(ModeSpace(3, Statistics.BOSE)), [math.nan, 1, 0])
 
 
 @pytest.mark.parametrize("components, kernel_runs", [(255, False), (256, True)])
@@ -830,11 +893,12 @@ def test_derived_vectors_do_not_inherit_caches():
         assert w.norm == float(np.sqrt(sum(abs(a) ** 2 for a in w.amplitudes.values())))
     # the kernel-built create and annihilate store their rows as their form
     assert all(w._rows is None for w in derived[:4])
-    u = derived[0]
+    u = array_born(derived[0])
     for mode in range(8):
         with dict_path():
             want = number_expectation(u, mode)
         assert number_expectation(u, mode) == pytest.approx(want, rel=1e-13)
+    assert u._weights is not None  # the kernel ran
 
 
 NAN = float("nan")

@@ -422,6 +422,19 @@ def test_sample_outcomes_rejects_a_non_integral_count_naming_it(n):
         sample_outcomes(rho, n, 0)
 
 
+@pytest.mark.parametrize("n", [0, -1, 2**63])
+def test_sample_outcomes_rejects_a_count_out_of_range_naming_it(n):
+    # 2**63 does not fit the C long that numpy's multinomial takes
+    rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
+    with pytest.raises(ValueError, match=re.escape(f"n must be in [1, {2**63 - 1}], got {n}")):
+        sample_outcomes(rho, n, 0)
+
+
+def test_pointer_outcome_counts_of_the_wrong_size_name_counts_and_dims():
+    with pytest.raises(ValueError, match=re.escape("counts has 3 entries, but dims (2, 2) need 4")):
+        pointer_outcome_counts(np.array([1, 2, 3]), (2, 2))
+
+
 def test_sample_outcomes_takes_an_integral_float_or_numpy_count_as_the_int():
     rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
     want = sample_outcomes(rho, 10, 3)
