@@ -16,6 +16,7 @@ from .fock import (
     basis_state,
     create,
     inner,
+    ladder_relation_residuals,
     number_expectation,
     transformed_create,
     two_particle_symmetrized,

@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__, artifacts
 from .dynamics import TrajectoryRecord, ehrenfest_residuals, evolve, gaussian_packet, trajectory
 from .field import (
-    _BLOCK_ELEMENTS,
     Dispersion,
     LatticeSpec,
     WaveAmplitude,
@@ -47,10 +46,10 @@ from .field import (
 from .fock import (
     ModeSpace,
     Statistics,
-    _ladder_rows,
     annihilate,
     create,
     inner,
+    ladder_relation_residuals,
     vacuum,
 )
 from .qinfo import (
@@ -246,7 +245,7 @@ def run_fock_check(args) -> int:
     spaces = [ModeSpace(p["modes"], stats, nmax=p["nmax"]) for stats in (Statistics.BOSE, Statistics.FERMI)]
     rows = []
     worst = 0.0
-    sweeps = _ladder_relation_residuals(spaces, np.random.default_rng(p["seed"]), p["pairs"])
+    sweeps = ladder_relation_residuals(spaces, np.random.default_rng(p["seed"]), p["pairs"])
     for space, residuals in zip(spaces, sweeps):
         for relation, value in residuals.items():
             rows.append((space.statistics.value, relation, p["pairs"], value))
@@ -256,84 +255,6 @@ def run_fock_check(args) -> int:
     if worst > LADDER_TOL:
         raise InvariantViolation(f"ladder relation residual {worst:.3e} exceeds {LADDER_TOL:g}")
     return 0
-
-
-def _ladder_relation_residuals(spaces, rng, n_pairs: int) -> list:
-    """Max deviation of the three exchange relations on random basis pairs,
-    one dict per space, the spaces drawing from rng in turn.
-
-    A sampled pair is a basis state, drawn uniformly from the occupations
-    0..cap per mode by decoding one drawn index, and two modes (a, b), so
-    nothing is enumerated.  Every space's index must fit in int64, or a
-    ValueError is raised before the first draw.  Each block of pairs takes
-    one draw whose bounds repeat (radix**modes, modes, modes): numpy draws
-    each element with its own bounded draw, so the values and the generator
-    state afterwards equal one scalar draw per number.  The relations then
-    act on the block's decoded rows in one pass of fock's ladder step, each
-    row with its own a and b (see ``_relation_values``).
-    """
-    radixes = []
-    for space in spaces:
-        # a boson is drawn below nmax, so that it can still be raised
-        cap = space.occupation_cap - (1 if space.statistics is Statistics.BOSE else 0)
-        modes = space.num_modes
-        # modes >= 64 never fits (the fermion pass needs 2**modes) and would make the power huge
-        if modes >= 64 or (cap + 1) ** modes > np.iinfo(np.int64).max:
-            raise ValueError(f"modes = {modes} with occupations 0..{cap} has too many basis states to index")
-        radixes.append(cap + 1)
-    results = []
-    for space, radix in zip(spaces, radixes):
-        bose = space.statistics is Statistics.BOSE
-        sign = -1.0 if bose else 1.0
-        modes = space.num_modes
-        worst = {"exchange": 0.0, "create-create": 0.0, "annihilate-annihilate": 0.0}
-        bounds = np.array([radix ** modes, modes, modes], dtype=np.int64)
-        block = max(1, _BLOCK_ELEMENTS // (modes + 3))  # pairs: 3 draws and `modes` digits each
-        for start in range(0, n_pairs, block):
-            draws = rng.integers(0, np.tile(bounds, min(block, n_pairs - start))).reshape(-1, 3)
-            rows, a, b = _digit_rows(draws[:, 0], radix, modes), draws[:, 1], draws[:, 2]
-            w = _relation_values(space, rows, a, b, -1, 1, sign)
-            w[a == b] -= 1.0
-            residuals = {"exchange": w}
-            if bose:  # two creations could cross the truncation
-                low = rows.max(axis=1) <= space.nmax - 2
-                rows, a, b = rows[low], a[low], b[low]
-            residuals["create-create"] = _relation_values(space, rows, a, b, 1, 1, sign)
-            residuals["annihilate-annihilate"] = _relation_values(space, rows, a, b, -1, -1, sign)
-            for relation, w in residuals.items():
-                # one pair's residual is FockVector.norm of its one-component
-                # vector, math.sqrt(abs(w) ** 2), which grows with abs(w)
-                largest = float(np.max(np.abs(w), initial=0.0))
-                worst[relation] = max(worst[relation], math.sqrt(largest ** 2))
-        results.append(worst)
-    return results
-
-
-def _relation_values(space, rows, a, b, step_a: int, step_b: int, sign: float) -> np.ndarray:
-    """Per row i, X Y s + sign · Y X s on the basis state s = rows[i], with
-    X the ladder step step_a in mode a[i] and Y step_b in mode b[i].
-
-    Both terms land on the same basis state, so each is one value per row;
-    a term that leaves the truncation is 0.  The value is the real part of
-    the dict loop's amplitude: ``fock._ladder_rows`` scales as the loop
-    does, a basis state's amplitude keeps an imaginary part of 0, and the
-    sum takes the float operations of ``FockVector.__add__``.
-    """
-    w = np.zeros(len(rows))
-    ones = np.ones(len(rows), complex)
-    x, y = (a, step_a), (b, step_b)
-    for (first, step1), (second, step2), scale in ((y, x, 1.0), (x, y, sign)):
-        kept, moved, values = _ladder_rows(space, rows, ones, first, step1)
-        again, _, values = _ladder_rows(space, moved, values, second[kept], step2)
-        w[kept[again]] += scale * values.real
-    return w
-
-
-def _digit_rows(indices: np.ndarray, radix: int, modes: int) -> np.ndarray:
-    """Row i is entry indices[i] of itertools.product(range(radix),
-    repeat=modes): its base-``radix`` digits, most significant first."""
-    powers = np.array([radix ** (modes - 1 - j) for j in range(modes)], dtype=np.int64)
-    return indices[:, None] // powers % radix
 
 
 def run_wick(args) -> int:
@@ -471,7 +392,7 @@ def run_measure(args) -> int:
 def _check_eq3() -> tuple:
     rng = np.random.default_rng(0)
     spaces = [ModeSpace(4, Statistics.BOSE, nmax=6), ModeSpace(8, Statistics.FERMI, nmax=6)]
-    worst = max(max(residuals.values()) for residuals in _ladder_relation_residuals(spaces, rng, 200))
+    worst = max(max(residuals.values()) for residuals in ladder_relation_residuals(spaces, rng, 200))
     return worst <= LADDER_TOL, f"max ladder-relation residual {worst:.2e} (tol {LADDER_TOL:g})"
 
 

@@ -20,17 +20,18 @@ corrections are at Gaussian-tail level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import (
-    _BLOCK_ELEMENTS,
     LatticeSpec,
     WaveAmplitude,
     from_momentum_values,
     to_momentum,
 )
+from .fock import _BLOCK_ELEMENTS
 
 
 class SeamError(ValueError):
@@ -171,8 +172,13 @@ def ehrenfest_residuals(records, mass: float) -> EhrenfestReport:
 
     Needs at least three uniformly spaced records.  Residuals are maxima
     over interior points, relative to the peak magnitude of the target
-    side, so a zero crossing of ⟨C⟩ does not blow up the report.
+    side, so a zero crossing of ⟨C⟩ does not blow up the report.  Raises
+    ValueError for a mass that is not positive and finite, or whose 2/m
+    overflows.
     """
+    # written so that nan fails; float() keeps a numpy mass from warning where 2/m overflows
+    if not (0 < mass < math.inf and math.isfinite(2.0 / float(mass))):
+        raise ValueError(f"mass must be positive and finite with a finite 2/mass, got {float(mass)!r}")
     if len(records) < 3:
         raise ValueError("need at least 3 records for central differences")
     ts = np.array([r.t for r in records])

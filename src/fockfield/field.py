@@ -23,6 +23,7 @@ import numpy as np
 
 from .fock import (
     NORM_TOL,
+    _BLOCK_ELEMENTS,
     FockVector,
     ModeSpace,
     Statistics,
@@ -34,10 +35,6 @@ from .fock import (
     number_expectation,
     vacuum,
 )
-
-# Elements per block of a (rows × modes) pass: 2**17 complex128 values is
-# 2 MiB.  commutator_sweep and dynamics.trajectory both block by it.
-_BLOCK_ELEMENTS = 1 << 17
 
 
 class Dispersion(Enum):
@@ -118,6 +115,8 @@ class WaveAmplitude:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.lattice.num_sites,):
             raise ValueError("values must have one entry per site")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @property
     def norm(self) -> float:
@@ -141,6 +140,8 @@ class MomentumAmplitude:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.lattice.num_sites,):
             raise ValueError("values must have one entry per momentum")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @property
     def norm(self) -> float:

@@ -34,7 +34,7 @@ def to_dense(v: FockVector) -> np.ndarray:
 
 def ladder_relation_residuals_per_pair(space: ModeSpace, rng, n_pairs: int) -> dict:
     """The ladder-relation sweep one sampled pair at a time: the oracle for
-    ``cli._ladder_relation_residuals``, with the same draws in the same order."""
+    ``fock.ladder_relation_residuals``, with the same draws in the same order."""
     sign = -1.0 if space.statistics is Statistics.BOSE else 1.0
     cap = space.occupation_cap - (1 if space.statistics is Statistics.BOSE else 0)
     radix, modes = cap + 1, space.num_modes

@@ -25,3 +25,8 @@ def test_artifacts_take_the_mode_the_umask_gives_a_new_file(tmp_path, umask, mod
         os.umask(old)
     modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
     assert modes == {"entangle.csv": mode, "entangle.meta.json": mode}
+
+
+@pytest.mark.parametrize("value, text", [(True, "true"), (False, "false"), (1, "1"), (0.5, "5.0000000000000000e-01")])
+def test_format_value_writes_bools_in_lower_case_and_floats_in_full(value, text):
+    assert artifacts.format_value(value) == text

@@ -825,7 +825,7 @@ def test_occupations_at_matches_filtered_basis_states(stats, modes, nmax):
     space = ModeSpace(modes, stats, nmax=nmax)
     cap = space.occupation_cap - (1 if stats is Statistics.BOSE else 0)
     states = [occ for occ in space.basis_states() if max(occ) <= cap]
-    decoded = cli._digit_rows(np.arange(len(states)), cap + 1, modes)
+    decoded = fock._digit_rows(np.arange(len(states)), cap + 1, modes)
     assert decoded.dtype == np.int64
     assert [tuple(row) for row in decoded.tolist()] == states
     assert [occupations_at(i, cap + 1, modes) for i in range(len(states))] == states
@@ -842,7 +842,7 @@ def assert_sweep_equals_per_pair_oracle(stats, modes, nmaxes, pairs=(0, 1, 50, 2
                 rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
                 for statistics in passes:
                     space = ModeSpace(modes, statistics, nmax=nmax)
-                    [got] = cli._ladder_relation_residuals([space], rng, n_pairs)
+                    [got] = fock.ladder_relation_residuals([space], rng, n_pairs)
                     want = ladder_relation_residuals_per_pair(space, oracle_rng, n_pairs)
                     case = (statistics, modes, nmax, n_pairs, seed)
                     assert got == want, case
@@ -863,7 +863,7 @@ def test_ladder_relation_sweep_equals_per_pair_oracle_without_the_jordan_wigner_
     drop_jordan_wigner_string(monkeypatch)
     assert_sweep_equals_per_pair_oracle(Statistics.FERMI, modes, (1,))
     if modes > 1:
-        [residuals] = cli._ladder_relation_residuals([ModeSpace(modes, Statistics.FERMI)], np.random.default_rng(0), 200)
+        [residuals] = fock.ladder_relation_residuals([ModeSpace(modes, Statistics.FERMI)], np.random.default_rng(0), 200)
         assert residuals["exchange"] > 1e-12
 
 
@@ -871,7 +871,7 @@ def test_ladder_relation_sweep_equals_per_pair_oracle_without_the_jordan_wigner_
 def test_ladder_relation_sweep_in_blocks_equals_per_pair_oracle(block, monkeypatch):
     # block edges: more than one draw per sweep gives the same draws
     for stats, modes in ((Statistics.BOSE, 3), (Statistics.FERMI, 5)):
-        monkeypatch.setattr(cli, "_BLOCK_ELEMENTS", block * (modes + 3))
+        monkeypatch.setattr(fock, "_BLOCK_ELEMENTS", block * (modes + 3))
         assert_sweep_equals_per_pair_oracle(stats, modes, (4,), pairs=(49, 50, 51, 200), seeds=(3,))
 
 
@@ -894,8 +894,8 @@ def test_ladder_relation_sweep_arrays_are_bounded_by_the_block():
     n_pairs = 4100
     for stats in Statistics:
         rng = RecordingGenerator(0)
-        cli._ladder_relation_residuals([ModeSpace(62, stats, nmax=1)], rng, n_pairs)
-        block = cli._BLOCK_ELEMENTS // (62 + 3)
+        fock.ladder_relation_residuals([ModeSpace(62, stats, nmax=1)], rng, n_pairs)
+        block = fock._BLOCK_ELEMENTS // (62 + 3)
         assert rng.sizes == [3 * block, 3 * block, 3 * (n_pairs - 2 * block)]
 
 
@@ -905,7 +905,7 @@ def test_fock_check_checks_every_space_before_the_first_draw(tmp_path, capsys):
     rng = RecordingGenerator(0)
     spaces = [ModeSpace(63, stats, nmax=1) for stats in (Statistics.BOSE, Statistics.FERMI)]
     with pytest.raises(ValueError, match="^modes = 63 with occupations 0..1 "):
-        cli._ladder_relation_residuals(spaces, rng, 100_000)
+        fock.ladder_relation_residuals(spaces, rng, 100_000)
     assert rng.sizes == []
     argv = ["fock-check", "--out-dir", str(tmp_path), "--modes", "63", "--nmax", "1", "--pairs", "100000"]
     assert run(argv) == 2
@@ -1007,6 +1007,19 @@ def test_runtime_loads_no_scipy_or_test_modules():
     loaded = set(ast.literal_eval(done.stdout))
     assert "numpy" in loaded
     assert not loaded & {"scipy", "hypothesis", "pytest", "_pytest"}
+
+
+def private_imports_from_siblings(path):
+    """(module, name) of each ``from .module import _name`` in a source file."""
+    tree = ast.parse(pathlib.Path(path).read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_cli_imports_no_private_name_from_a_sibling_module():
+    # the CLI runs on the library's public API alone
+    assert private_imports_from_siblings(SRC / "fockfield" / "cli.py") == []
 
 
 def test_import_loads_only_numpy_and_fockfield_beyond_the_standard_library_and_builds_no_parser():

@@ -208,6 +208,14 @@ def test_ehrenfest_requires_three_uniform_records():
         ehrenfest_residuals(recs3, mass=1.0)
 
 
+def test_ehrenfest_rejects_a_mass_without_a_finite_positive_inverse():
+    # 0 divides by zero, 2/1e-320 overflows, and -1 and nan gave numbers
+    recs = trajectory(gaussian_packet(LAT, 0.0, 0.0, 8.0), [0.0, 1e-3, 2e-3], LAT)
+    for mass in (0.0, 1e-320, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^mass must be positive"):
+            ehrenfest_residuals(recs, mass=mass)
+
+
 def test_norm_conserved_along_trajectory():
     f = gaussian_packet(LAT, 10.0, 0.3, 8.0, chirp=0.5)
     for t in (0.0, 7.0, 31.0):

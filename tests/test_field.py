@@ -166,6 +166,37 @@ def test_prepare_one_particle_requires_normalized():
         prepare_one_particle(WaveAmplitude(np.ones(8), LAT8), site_mode_space(LAT8))
 
 
+@pytest.mark.parametrize("space", [
+    site_mode_space(LatticeSpec(6, 1.0, 1.0)),
+    ModeSpace(8, Statistics.BOSE, species_count=2),
+], ids=["sites", "species"])
+def test_prepare_one_particle_rejects_a_mode_space_without_one_mode_per_site(space):
+    f = gaussian_profile(LAT8, 0.0, 1.5)
+    with pytest.raises(ValueError, match="^mode_space must have one single-species mode per site$"):
+        prepare_one_particle(f, space)
+
+
+@pytest.mark.parametrize("amplitude", [WaveAmplitude, MomentumAmplitude])
+@pytest.mark.parametrize("values, message", [
+    (np.ones(7), "values must have one entry per "),
+    (np.ones((8, 1)), "values must have one entry per "),
+    (np.full(8, np.nan), "values must be finite"),
+    ([1.0] * 7 + [np.inf], "values must be finite"),
+    ([1.0] * 7 + [complex(0.0, -np.inf)], "values must be finite"),
+], ids=["short", "column", "nan", "inf", "imaginary-inf"])
+def test_amplitudes_reject_a_wrong_shape_and_non_finite_values(amplitude, values, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        amplitude(values, LAT8)
+
+
+def test_wave_amplitude_normalized_has_unit_norm_and_the_same_shape():
+    f = WaveAmplitude(np.arange(8) + 1j, LAT8)
+    g = f.normalized()
+    assert g.lattice == LAT8
+    assert g.norm == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(g.values * f.norm, f.values, rtol=1e-15, atol=0)
+
+
 def test_bimodal_profile_keeps_both_lobes():
     # spatially separated double Gaussian: the superposition stays rigidly
     # one particle while its density shows both lobes
@@ -259,6 +290,19 @@ def test_prepare_general_rejects_unsorted_tuple():
         prepare_general(GeneralStateSpec({(3, 1): 1.0}), site_mode_space(LAT8))
 
 
+def test_prepare_general_rejects_a_null_result():
+    # two fermions in one site: the creations give the null element
+    spec = GeneralStateSpec({(2, 2): 1.0})
+    with pytest.raises(ValueError, match="^specification produced the null element$"):
+        prepare_general(spec, site_mode_space(LAT8, Statistics.FERMI))
+
+
+def test_prepare_general_skips_zero_amplitudes_before_building_their_sites():
+    # site 99 is no mode of the space; with a zero amplitude it is never created
+    v = prepare_general(GeneralStateSpec({(): 1.0, (99,): 0.0}), site_mode_space(LAT8))
+    assert v.amplitudes == vacuum(site_mode_space(LAT8)).amplitudes
+
+
 def test_field_expectation_zero_for_fixed_number_states():
     space = site_mode_space(LAT8)
     rng = np.random.default_rng(12)
@@ -309,6 +353,11 @@ def test_coherent_state_two_modes_residual_per_mode():
 def test_coherent_state_rejects_fermi():
     with pytest.raises(ValueError):
         coherent_state([0.5], ModeSpace(1, Statistics.FERMI))
+
+
+def test_coherent_state_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match="^need one amplitude per mode$"):
+        coherent_state([0.5], ModeSpace(2, Statistics.BOSE, nmax=12))
 
 
 def test_coherent_state_rejects_small_nmax():
@@ -447,8 +496,9 @@ NAN = float("nan")
 @pytest.mark.parametrize("call, message", [
     (lambda: LatticeSpec(8, NAN, 1.0), "spacing must be positive"),
     (lambda: LatticeSpec(8, 1.0, NAN), "mass must be nonnegative"),
+    # a nan intensity stops where it enters, before the normalization check
     (lambda: prepare_one_particle(WaveAmplitude([NAN] + [0.0] * 7, LAT8), site_mode_space(LAT8)),
-     "intensity profile must be normalized (norm = nan)"),
+     "values must be finite"),
 ], ids=["spacing", "mass", "intensity"])
 def test_nan_fails_the_lattice_and_normalization_checks(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -496,6 +546,7 @@ def test_number_density_rejects_a_non_integral_site_naming_it():
     ((8.5, 1.0, 1.0), "num_sites must be an integer, got 8.5"),
     ((NAN, 1.0, 1.0), "num_sites must be an integer, got nan"),
     (("8", 1.0, 1.0), "num_sites must be an integer, got '8'"),
+    ((7, 1.0, 1.0), "num_sites must be even and >= 2"),
 ])
 def test_lattice_rejects_an_infinite_spacing_and_a_non_integral_size(args, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

@@ -95,6 +95,34 @@ def test_invalid_mode_raises():
         annihilate(vacuum(BOSE2), -1)
 
 
+def test_species_out_of_range_raises_naming_it():
+    with pytest.raises(ValueError, match=r"^species 1 out of range \[0, 1\)$"):
+        create(vacuum(BOSE2), 0, species=1)
+
+
+def test_normalizing_the_null_element_raises():
+    with pytest.raises(ValueError, match="^cannot normalize the null element$"):
+        FockVector(BOSE2, {}).normalized()
+
+
+@pytest.mark.parametrize("scalar", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, math.inf)])
+def test_scaling_by_a_non_finite_scalar_raises_naming_it(scalar):
+    v = basis_state(BOSE2, (1, 0))
+    with pytest.raises(ValueError, match="^scalar must be finite, got "):
+        scalar * v
+
+
+@pytest.mark.parametrize("occupations, message", [
+    ((1,), "occupation tuple has wrong length"),
+    ((1, 0, 0), "occupation tuple has wrong length"),
+    ((5, 0), r"occupations must lie in \[0, 4\]"),
+    ((0, -1), r"occupations must lie in \[0, 4\]"),
+])
+def test_basis_state_rejects_a_wrong_length_and_occupations_above_the_cap(occupations, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        basis_state(BOSE2, occupations)
+
+
 def test_null_element_distinct_from_vacuum():
     null = FockVector(BOSE2, {})
     assert null.is_null
@@ -219,6 +247,11 @@ def test_transformed_create_all_zero_coeffs_gives_null():
     assert transformed_create(vacuum(BOSE2), [0.0, 0.0]).is_null
 
 
+def test_transformed_create_rejects_a_wrong_coefficient_count():
+    with pytest.raises(ValueError, match=r"^expected 2 coefficients, got \(3,\)$"):
+        transformed_create(vacuum(BOSE2), [1.0, 0.0, 0.0])
+
+
 def test_transformed_create_unitary_preserves_commutator():
     # [B_b, B+_b] = 1 for columns of a random unitary, brute-force matrices
     rng = np.random.default_rng(11)
@@ -254,6 +287,12 @@ def test_two_particle_fermi_pauli_null():
 def test_two_particle_requires_normalized_inputs():
     with pytest.raises(ValueError):
         two_particle_symmetrized([2.0, 0.0], [0.0, 1.0], BOSE2)
+
+
+@pytest.mark.parametrize("xi, eta, name", [([1.0, 0.0, 0.0], [1.0, 0.0], "xi"), ([1.0, 0.0], [[1.0, 0.0]], "eta")])
+def test_two_particle_rejects_a_wrong_shape_naming_it(xi, eta, name):
+    with pytest.raises(ValueError, match=f"^{name} must have one coefficient per mode$"):
+        two_particle_symmetrized(xi, eta, BOSE2)
 
 
 def test_two_particle_bose_double_occupation():
@@ -927,6 +966,18 @@ def test_nan_fails_the_normalization_checks(call, message):
 def test_mode_space_rejects_non_integral_sizes_naming_them(kwargs, name):
     args = dict(num_modes=2, statistics=Statistics.BOSE) | kwargs
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        ModeSpace(**args)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(num_modes=0), "num_modes must be positive"),
+    (dict(nmax=0), "nmax must be positive"),
+    (dict(species_count=0), "species_count must be 1 or 2"),
+    (dict(species_count=3), "species_count must be 1 or 2"),
+])
+def test_mode_space_rejects_sizes_out_of_range(kwargs, message):
+    args = dict(num_modes=2, statistics=Statistics.BOSE) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}$"):
         ModeSpace(**args)
 
 

@@ -309,6 +309,29 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: BipartiteState([1.0, 0.0]), "amplitudes must be a 2-D matrix"),
+    (lambda: DensityMatrix(np.ones((1, 2))), "rho must be square"),
+    (lambda: DensityMatrix(np.ones(1)), "rho must be square"),
+    (lambda: DensityMatrix(np.diag([1.5, -0.5])), "rho must be positive semidefinite"),
+    (lambda: MeasurementModel((0, 1, 2), (0.6, 0.8), 1.0), "eigenvalues and amplitudes must have equal length"),
+    (lambda: reduced_density(BELL, "C"), "subsystem must be 'A' or 'B'"),
+    (lambda: decohere(BELL, np.eye(3)), "pointer basis must be a d_B x d_B unitary"),
+], ids=["bipartite-1d", "rho-not-square", "rho-1d", "rho-not-psd", "model-lengths", "subsystem", "pointer-shape"])
+def test_shape_and_spectrum_checks_raise_naming_what_failed(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+def test_a_one_row_decohered_state_has_no_coherence_and_samples():
+    # one system outcome: each pointer block is 1 x 1, so nothing is off-diagonal
+    rho = decohere(BipartiteState([[0.6, 0.8]]))
+    assert rho._max_coherence() == 0.0
+    assert DensityMatrix(rho.rho)._max_coherence() == 0.0
+    counts = sample_outcomes(rho, 1000, 0)
+    assert counts.shape == (2,) and counts.sum() == 1000 and counts.min() > 0
+
+
 def test_validation_messages_print_plain_floats():
     for make in (
         lambda: DensityMatrix(np.eye(2) * 0.500000005),

@@ -301,3 +301,12 @@ def test_vacuum_of_twelve_alternating_pairs_is_one_term(prefix):
     s = parse(f"{prefix}: " + " ".join(f"a(x{i}) a+(y{i})" for i in range(1, 13)))
     pairs = tuple(sorted((f"x{i}", f"y{i}") for i in range(1, 13)))
     assert vacuum_expectation(s) == DeltaPolynomial(((1, pairs),))
+
+
+def test_a_normal_term_prints_its_magnitude_and_factors():
+    # the sign belongs to the sum, so a term prints without it
+    nf = normal_order(parse("fermi: a(x1) a+(x2)"))
+    assert [t.coefficient for t in nf.terms] == [1, -1]
+    assert [str(t) for t in nf.terms] == ["d(x1,x2)", "a+(x2) a(x1)"]
+    nf = normal_order(parse("bose: a(x) a(x) a+(x) a+(x)"))
+    assert [str(t) for t in nf.terms][1:] == ["4 a+(x) a(x)", "a+(x) a+(x) a(x) a(x)"]
