@@ -15,7 +15,7 @@ lattice = LatticeSpec(num_sites=256, spacing=1.0, mass=1.0)
 packet = gaussian_packet(lattice, x0=0.0, p0=0.0, sigma0=8.0, chirp=1.0)
 
 times = np.arange(0.0, 128.01, 8.0)
-records = trajectory(packet, times, lattice)
+records = trajectory(packet, times)
 
 print(f"{'t':>6} {'dx':>8} {'<C>':>9} {'<H>':>9} {'dx*dp':>8}")
 for r in records:
@@ -28,8 +28,8 @@ print(f"\nwaist at t = {records[waist].t:.0f}: width {widths[waist]:.3f} "
 print("correlation crosses zero there and keeps growing:",
       records[waist - 1].mean_c < 0 < records[waist + 1].mean_c)
 
-fine = trajectory(packet, np.arange(0.0, 0.05001, 1e-3), lattice)
-report = ehrenfest_residuals(fine, mass=1.0)
+# the packet carries its lattice, so the mass m = 1 comes from there
+report = ehrenfest_residuals(packet, np.arange(0.0, 0.05001, 1e-3))
 print(f"\nfinite-difference residuals: width law {report.width_residual:.2e}, "
       f"correlation law {report.correlation_residual:.2e}")
 
@@ -37,6 +37,6 @@ sigma0 = 8.0
 drift_free = gaussian_packet(lattice, 0.0, 0.0, sigma0)
 print("\nuncorrelated packet follows the textbook spreading law:")
 for t in (0.0, 64.0, 128.0):
-    rec = trajectory(drift_free, [t], lattice)[0]
+    rec = trajectory(drift_free, [t])[0]
     predicted = sigma0 * np.sqrt(1 + (t / (2 * sigma0**2)) ** 2)
     print(f"  t {t:6.1f}: width {rec.dx:.6f}  predicted {predicted:.6f}")

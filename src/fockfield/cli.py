@@ -329,11 +329,11 @@ def run_wavepacket(args) -> int:
             raise ValueError(f"density_out must not overwrite wavepacket.csv or its sidecar, got {args.density_out!r}")
     lattice = _lattice(p, Dispersion.NONRELATIVISTIC)
     packet = gaussian_packet(lattice, p["x0"], p["p0"], p["sigma0"], p["chirp"])
-    records = trajectory(packet, p["times"], lattice)
+    records = trajectory(packet, p["times"])
     _write_table(args, "wavepacket.csv", TrajectoryRecord.CSV_HEADER, [r.row() for r in records], p,
                  f"{len(records)} samples")
     if args.density_out is not None:
-        final = evolve(packet, p["times"][-1], lattice)
+        final = evolve(packet, p["times"][-1])
         rows = [
             (float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
             for x, v in zip(lattice.positions, final.values)
@@ -437,11 +437,9 @@ def _apply_symbols(s, assignment, space):
 def _verify_trajectory():
     """Coarse records and the fine run's Ehrenfest report for one chirped
     packet; eq12 and eq13 share this one computation."""
-    lattice = LatticeSpec(64, 1.0, 1.0)
-    packet = gaussian_packet(lattice, 0.0, 0.0, 3.0, chirp=1.0)
-    coarse = trajectory(packet, [k * 0.25 for k in range(49)], lattice)
-    fine = trajectory(packet, [k * 1e-3 for k in range(51)], lattice)
-    return tuple(coarse), ehrenfest_residuals(fine, mass=1.0)
+    packet = gaussian_packet(LatticeSpec(64, 1.0, 1.0), 0.0, 0.0, 3.0, chirp=1.0)
+    coarse = trajectory(packet, [k * 0.25 for k in range(49)])
+    return tuple(coarse), ehrenfest_residuals(packet, [k * 1e-3 for k in range(51)])
 
 
 def _check_eq12() -> tuple:

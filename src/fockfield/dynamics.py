@@ -114,23 +114,24 @@ def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec) -> 
     return g * phases
 
 
-def evolve(f: WaveAmplitude, t: float, lattice: LatticeSpec) -> WaveAmplitude:
-    """Exact free evolution by phase multiplication in momentum space.
+def evolve(f: WaveAmplitude, t: float) -> WaveAmplitude:
+    """Exact free evolution on f's own lattice, by phase multiplication in momentum space.
 
     Unitary for every t; the momentum distribution is invariant.
     """
-    gt = _evolved_momenta(to_momentum(f).values, np.array([t], dtype=float), lattice)[0]
-    return WaveAmplitude(from_momentum_values(gt, lattice), lattice)
+    gt = _evolved_momenta(to_momentum(f).values, np.array([t], dtype=float), f.lattice)[0]
+    return WaveAmplitude(from_momentum_values(gt, f.lattice), f.lattice)
 
 
-def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):
-    """Observable records along the exact evolution, one per sample time.
+def trajectory(f0: WaveAmplitude, times):
+    """Observable records along the exact evolution on f0's own lattice, one per sample time.
 
     Raises SeamError naming the first sample time at which the packet
     center comes within 8 measured widths of the periodic boundary.
     ⟨C⟩ = Re⟨X f, P f⟩ takes one np.vdot per sample, because a row sum
     would add the products in another order.
     """
+    lattice = f0.lattice
     g0 = to_momentum(f0).values
     x = lattice.positions
     p = lattice.momenta
@@ -167,25 +168,31 @@ def trajectory(f0: WaveAmplitude, times, lattice: LatticeSpec):
     return records
 
 
-def ehrenfest_residuals(records, mass: float) -> EhrenfestReport:
-    """Central-difference check of d⟨X²⟩/dt = (2/m)⟨C⟩ and d⟨C⟩/dt = 2⟨H⟩.
+def ehrenfest_residuals(f0: WaveAmplitude, times) -> EhrenfestReport:
+    """Central-difference check of d⟨X²⟩/dt = (2/m)⟨C⟩ and d⟨C⟩/dt = 2⟨H⟩
+    along the trajectory of f0, with m its lattice's mass.
 
-    Needs at least three uniformly spaced records.  Residuals are maxima
+    Needs at least three uniformly spaced times.  Residuals are maxima
     over interior points, relative to the peak magnitude of the target
     side, so a zero crossing of ⟨C⟩ does not blow up the report.  Raises
-    ValueError for a mass that is not positive and finite, or whose 2/m
-    overflows.
+    ValueError, before any evolution, for a mass that is not positive and
+    finite, or whose 2/m overflows, and for times that are fewer than
+    three, not finite or not uniformly spaced.
     """
+    mass = f0.lattice.mass
     # written so that nan fails; float() keeps a numpy mass from warning where 2/m overflows
     if not (0 < mass < math.inf and math.isfinite(2.0 / float(mass))):
         raise ValueError(f"mass must be positive and finite with a finite 2/mass, got {float(mass)!r}")
-    if len(records) < 3:
-        raise ValueError("need at least 3 records for central differences")
-    ts = np.array([r.t for r in records])
-    steps = np.diff(ts)
-    h = steps[0]
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1.0):
-        raise ValueError("records must be uniformly spaced in time")
+    ts = np.asarray(list(times), dtype=float)
+    if len(ts) < 3:
+        raise ValueError(f"need at least 3 times for central differences, got {len(ts)}")
+    with np.errstate(invalid="ignore"):  # a time that is not finite makes a nan step, which fails below
+        steps = np.diff(ts)
+        h = steps[0]
+        uniform = h > 0 and np.max(np.abs(steps - h)) <= 1e-9 * max(abs(h), 1.0)
+    if not uniform:  # written so that nan fails
+        raise ValueError("times must be finite, increasing and uniformly spaced")
+    records = trajectory(f0, ts)
     x2 = np.array([r.mean_x2 for r in records])
     c = np.array([r.mean_c for r in records])
     hh = np.array([r.mean_h for r in records])

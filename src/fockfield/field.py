@@ -222,15 +222,19 @@ def prepare_general(spec: GeneralStateSpec, mode_space: ModeSpace) -> FockVector
 
     Mixes particle-number sectors whenever F_n is supported on several n.
     Site tuples must be sorted (the canonical representative of each
-    unordered configuration).
+    unordered configuration), and every amplitude finite; the whole spec
+    is checked before any state is built.
     """
-    out = FockVector(mode_space, {})
-    for sites, amp in spec.amplitudes.items():
-        sites = tuple(sites)
+    terms = [(tuple(sites), amp) for sites, amp in spec.amplitudes.items()]
+    for sites, amp in terms:
         if len(sites) > spec.max_sector:
             raise ValueError(f"sector {len(sites)} exceeds max_sector {spec.max_sector}")
         if list(sites) != sorted(sites):
             raise ValueError(f"site tuple {sites} not in canonical sorted order")
+        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            raise ValueError(f"amplitude at sites {sites} must be finite, got {amp}")
+    out = FockVector(mode_space, {})
+    for sites, amp in terms:
         if amp == 0.0:
             continue
         v = vacuum(mode_space)

@@ -177,7 +177,12 @@ class FockVector:
 
     @property
     def is_null(self) -> bool:
-        return _size(self) == 0
+        return len(self) == 0
+
+    def __len__(self) -> int:
+        """Number of components, without building an array-born state's dict;
+        so the null element is falsy."""
+        return len(self.amplitudes) if self._values is None else len(self._values)
 
     def amplitude(self, occupations) -> complex:
         return self.amplitudes.get(tuple(occupations), 0.0 + 0.0j)
@@ -247,11 +252,6 @@ def _amplitude_dict(rows: np.ndarray, values: np.ndarray) -> dict:
         hi = lo + _DICT_CHUNK
         amplitudes.update(zip(zip(*rows[lo:hi].T.tolist()), values[lo:hi].tolist()))
     return amplitudes
-
-
-def _size(v: FockVector) -> int:
-    """Number of components, without building an array-born state's dict."""
-    return len(v.amplitudes) if v._values is None else len(v._values)
 
 
 def _amplitude_values(v: FockVector):
@@ -493,7 +493,7 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
         raise ValueError(f"coeffs must be finite, got {coeffs.tolist()!r}")
     base_slot = space.slot(0, species)
     modes = [mode for mode, c in enumerate(coeffs) if c != 0.0]
-    if _size(v) * len(modes) >= ARRAY_CUTOFF:
+    if len(v) * len(modes) >= ARRAY_CUTOFF:
         out = _transformed_create_kernel(v, coeffs, modes, base_slot)
         if out is not None:
             return out

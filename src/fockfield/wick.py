@@ -59,12 +59,18 @@ class OperatorString:
 
 def _signed_sum(terms) -> str:
     """Print (coefficient, factors) pairs as a sum: a magnitude of 1 is left
-    out, a term without factors prints 1, the first sign is a bare "-" and
-    later ones " + " or " - ", and an empty sum prints 0."""
+    out before factors, a term without factors prints its magnitude alone,
+    the first sign is a bare "-" and later ones " + " or " - ", and an empty
+    sum prints 0."""
     out = []
     for coeff, factors in terms:
-        body = " ".join(factors) or "1"
-        piece = body if abs(coeff) == 1 else f"{abs(coeff)} {body}"
+        body = " ".join(factors)
+        if not body:
+            piece = f"{abs(coeff)}"
+        elif abs(coeff) == 1:
+            piece = body
+        else:
+            piece = f"{abs(coeff)} {body}"
         if out:
             piece = ("- " if coeff < 0 else "+ ") + piece
         elif coeff < 0:

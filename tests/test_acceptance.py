@@ -156,21 +156,19 @@ def test_criterion_03_number_density_and_contractions():
 
 
 def _chirped_run(chirp):
-    lattice = LatticeSpec(256, 1.0, 1.0)
-    packet = gaussian_packet(lattice, 0.0, 0.0, 8.0, chirp=chirp)
-    fine = trajectory(packet, [k * 1e-3 for k in range(101)], lattice)
+    packet = gaussian_packet(LatticeSpec(256, 1.0, 1.0), 0.0, 0.0, 8.0, chirp=chirp)
     # the chirp < 0 packet expands from t = 0, so its seam-safe horizon
     # is shorter than the shrink-first case
     horizon = 128.0 if chirp > 0 else 96.0
-    coarse = trajectory(packet, list(np.arange(0.0, horizon + 0.25, 0.5)), lattice)
-    return fine, coarse
+    coarse = trajectory(packet, list(np.arange(0.0, horizon + 0.25, 0.5)))
+    return packet, coarse
 
 
 def test_criterion_04_correlation_dynamics():
     checks = []
     for chirp in (1.0, -1.0):
-        fine, coarse = _chirped_run(chirp)
-        rep = ehrenfest_residuals(fine, mass=1.0)
+        packet, coarse = _chirped_run(chirp)
+        rep = ehrenfest_residuals(packet, [k * 1e-3 for k in range(101)])
         checks.append((f"chirp {chirp:+} fd residuals", max(rep.width_residual, rep.correlation_residual) <= 1e-5,
                        f"width {rep.width_residual:.2e}, correlation {rep.correlation_residual:.2e} tol 1e-5"))
         h0, c0 = coarse[0].mean_h, coarse[0].mean_c
@@ -199,7 +197,7 @@ def test_criterion_05_free_gaussian_width_law():
     horizon = 2 * m * sigma0**2
     times = np.linspace(0.0, horizon, 65)
     worst = 0.0
-    for rec in trajectory(packet, times, lattice):
+    for rec in trajectory(packet, times):
         predicted = sigma0**2 * (1 + (rec.t / (2 * m * sigma0**2)) ** 2)
         worst = max(worst, abs(rec.dx**2 - predicted) / predicted)
     report(5, [("width law over [0, 2 m sigma0^2]", worst <= 1e-6, f"max rel deviation {worst:.2e} tol 1e-6")])

@@ -1,9 +1,13 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynamics_oracles import build_observables, trajectory_per_sample
+import fockfield
 from fockfield import dynamics
 from fockfield.dynamics import (
     SeamError,
@@ -57,7 +61,7 @@ def test_xc_commutator_identity_on_localized_packet():
 
 def test_gaussian_packet_uncorrelated_minimum_uncertainty():
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0)
-    rec = trajectory(f, [0.0], LAT)[0]
+    rec = trajectory(f, [0.0])[0]
     assert rec.mean_c == pytest.approx(0.0, abs=1e-9)
     assert rec.dx * rec.dp == pytest.approx(0.5, abs=1e-6)
     assert rec.dx == pytest.approx(8.0, abs=1e-6)
@@ -66,7 +70,7 @@ def test_gaussian_packet_uncorrelated_minimum_uncertainty():
 def test_gaussian_packet_chirp_sets_correlation():
     # continuum Gaussian integral gives <C> = -chirp/2
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0, chirp=1.0)
-    rec = trajectory(f, [0.0], LAT)[0]
+    rec = trajectory(f, [0.0])[0]
     assert rec.mean_c == pytest.approx(-0.5, abs=1e-4)
 
 
@@ -91,14 +95,14 @@ def test_seam_error_of_the_packet_names_x0_sigma0_and_the_lattice(lattice, sigma
 
 def test_evolve_t0_is_identity():
     f = gaussian_packet(LAT, 0.0, 0.5, 8.0)
-    g = evolve(f, 0.0, LAT)
+    g = evolve(f, 0.0)
     assert np.max(np.abs(g.values - f.values)) < 1e-15
 
 
 def test_evolve_unitary_and_momentum_invariant():
     f = gaussian_packet(LAT, 0.0, 0.5, 8.0, chirp=-1.0)
     for t in (0.5, 3.0, 17.0):
-        ft = evolve(f, t, LAT)
+        ft = evolve(f, t)
         assert abs(ft.norm - 1.0) < 1e-12
         assert np.allclose(
             to_momentum(ft).density(), to_momentum(f).density(), atol=1e-12
@@ -109,7 +113,7 @@ def test_plane_wave_density_is_stationary():
     k = 70
     vals = np.exp(1j * LAT.momenta[k] * LAT.positions) / np.sqrt(256)
     f = WaveAmplitude(vals, LAT)
-    ft = evolve(f, 5.0, LAT)
+    ft = evolve(f, 5.0)
     assert np.allclose(ft.density(), f.density(), atol=1e-12)
 
 
@@ -119,7 +123,7 @@ def test_free_gaussian_spreading_law():
     f = gaussian_packet(LAT, 0.0, 0.0, sigma0)
     horizon = 2 * m * sigma0**2
     times = np.linspace(0.0, horizon, 33)
-    for rec in trajectory(f, times, LAT):
+    for rec in trajectory(f, times):
         predicted = sigma0**2 * (1 + (rec.t / (2 * m * sigma0**2)) ** 2)
         assert rec.dx**2 == pytest.approx(predicted, rel=1e-6)
 
@@ -128,13 +132,13 @@ def test_trajectory_seam_violation_names_time():
     lat = LatticeSpec(128, 1.0, 1.0)
     f = gaussian_packet(lat, 0.0, 0.0, 4.0)
     with pytest.raises(SeamError, match="t="):
-        trajectory(f, [0.0, 2000.0], lat)
+        trajectory(f, [0.0, 2000.0])
 
 
 def test_chirped_packet_shrinks_then_spreads():
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0, chirp=1.0)
     times = np.arange(0.0, 128.01, 1.0)
-    recs = trajectory(f, times, LAT)
+    recs = trajectory(f, times)
     widths = [r.dx for r in recs]
     i_min = int(np.argmin(widths))
     assert 0 < i_min < len(recs) - 1
@@ -156,7 +160,7 @@ def test_chirped_packet_shrinks_then_spreads():
 def test_integrated_width_law():
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0, chirp=-1.0)
     times = np.arange(0.0, 64.01, 0.5)
-    recs = trajectory(f, times, LAT)
+    recs = trajectory(f, times)
     x20, c0, h0 = recs[0].mean_x2, recs[0].mean_c, recs[0].mean_h
     for r in recs:
         predicted = x20 + 2.0 * (c0 * r.t + h0 * r.t**2)  # m = 1
@@ -165,9 +169,7 @@ def test_integrated_width_law():
 
 def test_ehrenfest_residuals_chirped_gaussian():
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0, chirp=1.0)
-    times = np.arange(0.0, 0.1001, 1e-3)
-    recs = trajectory(f, times, LAT)
-    report = ehrenfest_residuals(recs, mass=1.0)
+    report = ehrenfest_residuals(f, np.arange(0.0, 0.1001, 1e-3))
     assert report.width_residual <= 1e-5
     assert report.correlation_residual <= 1e-5
 
@@ -183,16 +185,14 @@ def test_ehrenfest_residuals_two_momentum_packet():
         + np.exp(1j * LAT.momenta[k2] * LAT.positions)
     )
     f = WaveAmplitude(vals / np.linalg.norm(vals), LAT)
-    times = np.arange(0.0, 0.05001, 1e-3)
-    recs = trajectory(f, times, LAT)
-    report = ehrenfest_residuals(recs, mass=1.0)
+    report = ehrenfest_residuals(f, np.arange(0.0, 0.05001, 1e-3))
     assert report.width_residual <= 1e-5
     assert report.correlation_residual <= 1e-5
 
 
 def test_ehrenfest_stationary_packet_width_static():
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0)
-    recs = trajectory(f, [-1e-3, 0.0, 1e-3], LAT)
+    recs = trajectory(f, [-1e-3, 0.0, 1e-3])
     # <C> = 0 at t=0, so the width derivative vanishes there
     dx2 = (recs[2].mean_x2 - recs[0].mean_x2) / (2e-3)
     assert abs(dx2) < 1e-9
@@ -200,43 +200,57 @@ def test_ehrenfest_stationary_packet_width_static():
 
 def test_ehrenfest_requires_three_uniform_records():
     f = gaussian_packet(LAT, 0.0, 0.0, 8.0)
-    recs = trajectory(f, [0.0, 1.0], LAT)
     with pytest.raises(ValueError):
-        ehrenfest_residuals(recs, mass=1.0)
-    recs3 = trajectory(f, [0.0, 1.0, 3.0], LAT)
+        ehrenfest_residuals(f, [0.0, 1.0])
     with pytest.raises(ValueError):
-        ehrenfest_residuals(recs3, mass=1.0)
+        ehrenfest_residuals(f, [0.0, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, float("nan"), 2.0],
+    [float("nan")] * 3,
+    [0.0, float("inf"), 2.0],
+    [2.0, 1.0, 0.0],
+])
+def test_ehrenfest_rejects_times_that_are_not_finite_increasing_and_uniform(times, monkeypatch):
+    # every comparison with nan is false, so a nan time once slipped through as a nan report
+    monkeypatch.setattr(dynamics, "trajectory", None)  # the check runs before any evolution
+    with pytest.raises(ValueError, match="^times must be finite, increasing and uniformly spaced$"):
+        ehrenfest_residuals(gaussian_packet(LAT, 0.0, 0.0, 8.0), times)
 
 
 def test_ehrenfest_rejects_a_mass_without_a_finite_positive_inverse():
-    # 0 divides by zero, 2/1e-320 overflows, and -1 and nan gave numbers
-    recs = trajectory(gaussian_packet(LAT, 0.0, 0.0, 8.0), [0.0, 1e-3, 2e-3], LAT)
-    for mass in (0.0, 1e-320, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^mass must be positive"):
-            ehrenfest_residuals(recs, mass=mass)
+    # 0 divides by zero and 2/1e-320 overflows; the lattice itself rejects -1 and nan
+    for mass in (0.0, 1e-320, float("inf")):
+        packet = gaussian_packet(LatticeSpec(256, 1.0, mass), 0.0, 0.0, 8.0)
+        with pytest.raises(ValueError, match="^mass must be positive and finite with a finite 2/mass, got "):
+            ehrenfest_residuals(packet, [0.0, 1e-3, 2e-3])
+    for mass in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="^mass must be nonnegative$"):
+            LatticeSpec(256, 1.0, mass)
 
 
 def test_norm_conserved_along_trajectory():
     f = gaussian_packet(LAT, 10.0, 0.3, 8.0, chirp=0.5)
     for t in (0.0, 7.0, 31.0):
-        assert abs(evolve(f, t, LAT).norm - 1.0) <= 1e-12
+        assert abs(evolve(f, t).norm - 1.0) <= 1e-12
 
 
 # -- blocked trajectory against the per-sample oracle, bit for bit
 
 
-def outcome(fn, packet, times, lattice):
+def outcome(fn, *args):
     """Every record field as (type, hex bits), or the SeamError text."""
     try:
-        records = fn(packet, times, lattice)
+        records = fn(*args)
     except SeamError as err:
         return ("SeamError", str(err))
     return [tuple((type(v), float(v).hex()) for v in r.row()) for r in records]
 
 
-def assert_trajectory_matches_oracle(packet, times, lattice):
-    got = outcome(trajectory, packet, times, lattice)
-    assert got == outcome(trajectory_per_sample, packet, times, lattice)
+def assert_trajectory_matches_oracle(packet, times):
+    got = outcome(trajectory, packet, times)
+    assert got == outcome(trajectory_per_sample, packet, times, packet.lattice)
     return got
 
 
@@ -254,13 +268,13 @@ BENCHMARK_PACKETS = [  # the wavepacket commands of perfbench/cli_scenarios.py
 def test_cli_wavepackets_equal_per_sample_bitwise(index):
     lattice, kw = BENCHMARK_PACKETS[index]
     times = [k * 0.5 for k in range(101)]  # the wavepacket scenario's default
-    assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times, lattice)
+    assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times)
 
 
 def test_large_cli_wavepacket_equals_per_sample_bitwise():
     lattice = LatticeSpec(4096, 1.0, 1.0)
     packet = gaussian_packet(lattice, 0.0, 0.0, 40.0, 1.0)
-    assert_trajectory_matches_oracle(packet, [k * 0.1 for k in range(501)], lattice)
+    assert_trajectory_matches_oracle(packet, [k * 0.1 for k in range(501)])
 
 
 @pytest.mark.parametrize("times", [
@@ -272,14 +286,14 @@ def test_large_cli_wavepacket_equals_per_sample_bitwise():
 ])
 def test_verify_packet_equals_per_sample_bitwise(times):
     lattice, kw = VERIFY_PACKET
-    assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times, lattice)
+    assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times)
 
 
 def test_seam_error_names_the_first_bad_time_in_a_later_block():
     lattice, kw = VERIFY_PACKET
     rows = dynamics._BLOCK_ELEMENTS // lattice.num_sites
     times = [0.0] * (rows + 3) + [4000.0, 3000.0]
-    got = assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times, lattice)
+    got = assert_trajectory_matches_oracle(gaussian_packet(lattice, **kw), times)
     assert got == ("SeamError", "packet within 8 widths of the seam at t=4000")
 
 
@@ -304,7 +318,7 @@ def trajectory_cases(draw):
     # sampled values repeat; free floats are unsorted and of either sign
     time = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -3.0)), st.floats(-40.0, 40.0))
     times = draw(st.lists(time, min_size=n, max_size=n))
-    return packet, times, lattice
+    return packet, times
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,7 +352,7 @@ def test_numpy_row_blocks_equal_per_row_calls(M):
 def test_evolve_and_trajectory_check_the_mass_and_the_phase_in_one_step(mass, message):
     lat = LatticeSpec(64, 1.0, mass)
     f = WaveAmplitude(np.full(64, 0.125), lat)
-    for run in (lambda: evolve(f, 1.0, lat), lambda: trajectory(f, [0.0, 1.0], lat)):
+    for run in (lambda: evolve(f, 1.0), lambda: trajectory(f, [0.0, 1.0])):
         with pytest.raises(ValueError, match=message) as exc:
             run()
         assert exc.traceback[-1].name == "_evolved_momenta"
@@ -353,4 +367,18 @@ def test_evolve_equals_the_phase_product_through_from_momentum_bitwise():
         for t in (0.0, -2.5, 17, 1e3):
             phases = np.exp(-1j * lat.momenta**2 * t / (2 * lat.mass))
             want = from_momentum(MomentumAmplitude(to_momentum(f).values * phases, lat)).values
-            assert evolve(f, t, lat).values.tobytes() == want.tobytes()
+            assert evolve(f, t).values.tobytes() == want.tobytes()
+
+
+def test_no_public_callable_takes_a_lattice_beside_an_amplitude():
+    # an amplitude carries its lattice; a second copy could disagree with it unchecked.
+    # Annotations are strings under `from __future__ import annotations`; str() reads a class too.
+    takes_both = []
+    for name, obj in vars(fockfield).items():
+        if name.startswith("_") or not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        amplitude = any(re.search(r"\b(WaveAmplitude|MomentumAmplitude)\b", str(p.annotation)) for p in params)
+        if amplitude and "lattice" in {p.name for p in params}:
+            takes_both.append(name)
+    assert takes_both == []

@@ -297,6 +297,17 @@ def test_prepare_general_rejects_a_null_result():
         prepare_general(spec, site_mode_space(LAT8, Statistics.FERMI))
 
 
+@pytest.mark.parametrize("amplitudes, message", [
+    ({(): float("nan")}, "^amplitude at sites \\(\\) must be finite, got nan$"),
+    ({(): 1.0, (3,): complex(0.5, float("inf"))}, "^amplitude at sites \\(3,\\) must be finite, got \\(0.5\\+infj\\)$"),
+    # site 99 is no mode of the space, so building its term first would raise another error
+    ({(99,): 1.0, (2, 5): float("-inf")}, "^amplitude at sites \\(2, 5\\) must be finite, got -inf$"),
+])
+def test_prepare_general_rejects_an_amplitude_that_is_not_finite_naming_its_sites(amplitudes, message):
+    with pytest.raises(ValueError, match=message):
+        prepare_general(GeneralStateSpec(amplitudes), site_mode_space(LAT8))
+
+
 def test_prepare_general_skips_zero_amplitudes_before_building_their_sites():
     # site 99 is no mode of the space; with a zero amplitude it is never created
     v = prepare_general(GeneralStateSpec({(): 1.0, (99,): 0.0}), site_mode_space(LAT8))

@@ -125,8 +125,8 @@ def test_basis_state_rejects_a_wrong_length_and_occupations_above_the_cap(occupa
 
 def test_null_element_distinct_from_vacuum():
     null = FockVector(BOSE2, {})
-    assert null.is_null
-    assert not vacuum(BOSE2).is_null
+    assert null.is_null and len(null) == 0 and not null
+    assert not vacuum(BOSE2).is_null and len(vacuum(BOSE2)) == 1 and vacuum(BOSE2)
     assert inner(null, vacuum(BOSE2)) == 0.0
 
 
@@ -714,6 +714,24 @@ def test_array_born_ladder_to_the_null_element():
     assert got == loop_ladder("create", v, 0) == FockVector(space, {})
 
 
+def test_len_of_an_array_born_state_builds_no_dict():
+    space = LADDER_SPACES["bose"]
+    a = array_born(FockVector(space, {k: 1.0 + 0j for k in space.basis_states()}))
+    assert len(a) == fock.ARRAY_CUTOFF and a and not a.is_null
+    assert "amplitudes" not in vars(a)
+
+
+def test_a_numpy_scalar_times_a_state_hands_rmul_a_python_complex(monkeypatch):
+    # np.complex128 * v finds no __getitem__ beside __len__, so numpy treats v as one
+    # object, not a sequence, and hands __rmul__ the scalar as a Python complex
+    seen = []
+    rmul = FockVector.__rmul__
+    monkeypatch.setattr(FockVector, "__rmul__", lambda v, scalar: seen.append(type(scalar)) or rmul(v, scalar))
+    got = np.complex128(2j) * vacuum(BOSE2)
+    assert seen == [complex]
+    assert got == FockVector(BOSE2, {(0, 0): 2j})
+
+
 def ladder_rows_items(kept, rows, values):
     """{input row: (occupations, amplitude bits)} of a _ladder_rows result,
     without the exact zeros that the loop drops."""
@@ -809,7 +827,7 @@ def test_chains_of_array_born_operations_equal_the_dict_loops(statistics, nmax, 
     on_arrays = 0
     for kind, arg, species in steps:
         stored_as_arrays = got._values is not None
-        ladder_kernel_runs = kind != "transformed_create" and stored_as_arrays and fock._size(got) >= fock.ARRAY_CUTOFF
+        ladder_kernel_runs = kind != "transformed_create" and stored_as_arrays and len(got) >= fock.ARRAY_CUTOFF
         got = getattr(fock, kind)(got, arg, species)
         with dict_path():
             want = getattr(fock, kind)(want, arg, species)

@@ -309,4 +309,6 @@ def test_a_normal_term_prints_its_magnitude_and_factors():
     assert [t.coefficient for t in nf.terms] == [1, -1]
     assert [str(t) for t in nf.terms] == ["d(x1,x2)", "a+(x2) a(x1)"]
     nf = normal_order(parse("bose: a(x) a(x) a+(x) a+(x)"))
-    assert [str(t) for t in nf.terms][1:] == ["4 a+(x) a(x)", "a+(x) a+(x) a(x) a(x)"]
+    assert [str(t) for t in nf.terms] == ["2", "4 a+(x) a(x)", "a+(x) a+(x) a(x) a(x)"]
+    assert str(nf) == "2 + 4 a+(x) a(x) + a+(x) a+(x) a(x) a(x)"
+    assert str(vacuum_expectation(parse("bose: a(x) a(x) a+(x) a+(x)"))) == "2"
