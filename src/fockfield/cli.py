@@ -83,6 +83,9 @@ def _parse_float_list(text: str):
 
 MAX_TIME_SAMPLES = 10**6
 MAX_PAIRS = 10**6  # fock-check --pairs
+# causality --dts and --separations, each: the default grid's distinct dx at the M cap.  The sweep's
+# two tables then hold at most 2 x 512 x 2047 complex values (34 MB)
+MAX_SWEEP_VALUES = 512
 LADDER_TOL = 1e-12  # largest ladder-relation residual fock-check and verify eq3 pass
 
 
@@ -120,8 +123,9 @@ PARAMETERS = {
         "seed": Param(int, 0),
     },
     "causality": {
-        # the default grid holds about M²/32 (dt, dx) pairs of M modes each, so time grows as M³ and
-        # memory as M²: M = 1024 ran 2.2 s at a 67 MB peak and M = 2048 15 s at 169 MB; 4096 would take minutes
+        # the default grid holds about M²/32 (dt, dx) pairs, each a row product over M modes and a CSV row,
+        # so time grows as M³ and memory as M²: M = 1024 ran 0.9 s at a 69 MB peak and M = 2048 3.2 s
+        # (1.3 s of it the sweep) at 190 MB, so 4096 would take about 20 s at about 700 MB
         "M": Param(int, 512, lo=4, hi=2048),  # the default grid holds no point below M = 4
         "dx": Param(float, 0.25, "lattice spacing"),
         "mass": Param(float, 1.0, lo=0),
@@ -292,6 +296,9 @@ def _lattice(p: dict, dispersion: Dispersion) -> LatticeSpec:
 
 def run_causality(args) -> int:
     p = _merged_params(args)
+    for name in ("dts", "separations"):  # before their product is built
+        if p[name] is not None and len(p[name]) > MAX_SWEEP_VALUES:
+            raise ValueError(f"{name} must hold at most {MAX_SWEEP_VALUES} values, got {len(p[name])}")
     lattice = _lattice(p, Dispersion.RELATIVISTIC)
     if (p["dts"] is None) != (p["separations"] is None):
         raise ValueError("--dts and --separations must be given together")

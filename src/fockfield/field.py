@@ -16,6 +16,7 @@ separation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from .fock import (
     NORM_TOL,
-    _BLOCK_ELEMENTS,
     FockVector,
     ModeSpace,
     Statistics,
@@ -222,8 +222,8 @@ def prepare_general(spec: GeneralStateSpec, mode_space: ModeSpace) -> FockVector
 
     Mixes particle-number sectors whenever F_n is supported on several n.
     Site tuples must be sorted (the canonical representative of each
-    unordered configuration), and every amplitude finite; the whole spec
-    is checked before any state is built.
+    unordered configuration), and every amplitude a finite real or complex
+    number other than a bool; the whole spec is checked before any state is built.
     """
     terms = [(tuple(sites), amp) for sites, amp in spec.amplitudes.items()]
     for sites, amp in terms:
@@ -231,6 +231,8 @@ def prepare_general(spec: GeneralStateSpec, mode_space: ModeSpace) -> FockVector
             raise ValueError(f"sector {len(sites)} exceeds max_sector {spec.max_sector}")
         if list(sites) != sorted(sites):
             raise ValueError(f"site tuple {sites} not in canonical sorted order")
+        if isinstance(amp, bool) or not isinstance(amp, numbers.Complex):  # Decimal is a Number, not Complex
+            raise ValueError(f"amplitude at sites {sites} must be a real or complex number, got {amp!r}")
         if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
             raise ValueError(f"amplitude at sites {sites} must be finite, got {amp}")
     out = FockVector(mode_space, {})
@@ -357,31 +359,48 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     """The pauli_jordan mode sums over (dt, dx) pairs, with and without antiparticles.
 
     Returns two lists of complex, ``(with_antiparticles, without)``, each
-    with one value per pair in input order.  Both come from one chunked
-    numpy pass: each block of pairs builds e = exp(i(p·dx − ω·dt)) once
-    over (rows × modes), and the antiparticle term reuses it as conj(e).
-    Blocks hold at most about 2**17 complex values (2 MiB) at any M.
-    Every value is bit-identical to the pair's mode sum evaluated on its
-    own, so the value of a pair does not depend on the block it lands in
-    or on the other pairs.  A pair whose phase p·dx − ω·dt is not finite
-    for some mode raises ValueError.
+    with one value per pair in input order.  The mode sum factors as
+    S = (1/M) Σ_k e^{ip_k·dx} · e^{−iω_k·dt}/2ω_k, so one table A holds
+    e^{ip·dx} for each distinct dx and one table B holds e^{−iω·dt}/2ω for
+    each distinct dt: one complex exp per distinct value and mode.  For
+    each distinct dt, the A rows of its pairs' distinct dx times its B row
+    are summed over the modes by einsum's own loop (no BLAS, so the bits
+    depend on no BLAS kernel or thread count).  The sum without
+    antiparticles is S; the one with them is 2i·Im S, whose real part is
+    exactly +0.0.  A pair takes its bits from its own two table rows, so
+    its value does not depend on the other pairs: pauli_jordan of one pair
+    equals that pair inside any sweep.  Memory: (distinct dt + distinct dx)
+    × modes complex values, plus one dt's gathered rows of A (at most
+    distinct dx × modes).
+
+    A pair whose A or B row is not finite (p·dx or ω·dt overflows, or an
+    input is nan or inf) raises ValueError naming the first such pair.
+    When p·dx and ω·dt are both finite but their difference overflows,
+    the value is finite: the product of the two rounded factors.
     """
     w, p = _commutator_modes(lattice)
-    M = lattice.num_sites
-    two_w = 2.0 * w
     grid = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
-    with_anti = np.empty(len(grid), dtype=complex)
-    without = np.empty(len(grid), dtype=complex)
-    rows = max(1, _BLOCK_ELEMENTS // len(w))
-    for lo in range(0, len(grid), rows):
-        dt = grid[lo:lo + rows, 0:1]
-        dx = grid[lo:lo + rows, 1:2]
-        with np.errstate(all="ignore"):  # a phase that is not finite makes e nan, reported below
-            e = np.exp(1j * (p * dx - w * dt))
-        if not np.isfinite(e).all():
-            bad = np.isfinite(e).all(axis=1).argmin()
-            raise ValueError(f"the phase p*dx - w*dt is not finite at dts {float(dt[bad, 0])!r}, "
-                             f"separations {float(dx[bad, 0])!r}")
-        without[lo:lo + rows] = np.sum(e / two_w, axis=1) / M
-        with_anti[lo:lo + rows] = np.sum((e - e.conj()) / two_w, axis=1) / M
+    # + 0.0 turns -0.0 into +0.0 (their B rows differ in the sign of zero imaginary parts), so the
+    # rows a pair reads do not depend on which of the two zeros np.unique kept from the other pairs
+    dts, ti = np.unique(grid[:, 0] + 0.0, return_inverse=True)
+    dxs, xi = np.unique(grid[:, 1] + 0.0, return_inverse=True)
+    with np.errstate(all="ignore"):  # a phase that is not finite makes its row nan, reported below
+        a = np.exp(1j * np.multiply.outer(dxs, p))
+        b = np.exp(-1j * np.multiply.outer(dts, w)) / (2.0 * w)
+    finite = np.isfinite(a).all(axis=1)[xi] & np.isfinite(b).all(axis=1)[ti]
+    if not finite.all():
+        bad = finite.argmin()
+        raise ValueError(f"the phase p*dx - w*dt is not finite at dts {float(grid[bad, 0])!r}, "
+                         f"separations {float(grid[bad, 1])!r}")
+    # the distinct pairs, ordered by dt, so each dt's pairs are one slice
+    keys, inverse = np.unique(ti * len(dxs) + xi, return_inverse=True)
+    key_t, key_x = np.divmod(keys, len(dxs))
+    starts = np.searchsorted(key_t, np.arange(len(dts) + 1))
+    s = np.empty(len(keys), dtype=complex)
+    for t in range(len(dts)):
+        lo, hi = starts[t], starts[t + 1]
+        s[lo:hi] = np.einsum("ik,k->i", a[key_x[lo:hi]], b[t])
+    without = s[inverse] / lattice.num_sites
+    with_anti = np.zeros(len(without), dtype=complex)  # 1j * x would give -0.0 real parts where x < 0
+    with_anti.imag = 2.0 * without.imag
     return with_anti.tolist(), without.tolist()

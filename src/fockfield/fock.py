@@ -61,7 +61,7 @@ ARRAY_CUTOFF = 256
 _DICT_CHUNK = 4096
 
 # Elements per block of a (rows × columns) pass: 2**17 complex128 values is 2 MiB.
-# ladder_relation_residuals, field.commutator_sweep and dynamics.trajectory block by it.
+# ladder_relation_residuals and dynamics.trajectory block by it.
 _BLOCK_ELEMENTS = 1 << 17
 
 

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockfield import __version__, artifacts, cli, fock
-from fockfield.cli import MAX_PAIRS, PARAMETERS, SCENARIOS, build_parser, main
-from fockfield.field import Dispersion, LatticeSpec, default_spacelike_grid
+from fockfield import __version__, cli, fock
+from fockfield.cli import MAX_PAIRS, MAX_SWEEP_VALUES, PARAMETERS, SCENARIOS, build_parser, main
+from fockfield.field import Dispersion, LatticeSpec, commutator_sweep, default_spacelike_grid
 from fockfield.fock import ModeSpace, Statistics
 from fockfield.qinfo import GENERATOR_NAME
 from fockfield.wick import MAX_TERMS
 
-from field_oracles import pauli_jordan_per_pair
+from field_oracles import pauli_jordan_per_pair, sweep_rounding_bound
 from fock_oracles import ladder_relation_residuals_per_pair, occupations_at
 
 
@@ -149,16 +149,24 @@ def test_causality_explicit_lists(tmp_path):
 
 
 def test_causality_csv_matches_per_pair_pauli_jordan(tmp_path):
-    assert run(["causality", "--out-dir", str(tmp_path / "cli"), "--M", "64"]) == 0
+    # within the sweep's rounding bound of the per-pair oracle (twice it with antiparticles);
+    # %.16e round-trips a double, so the text is read back as the values written
+    assert run(["causality", "--out-dir", str(tmp_path), "--M", "64"]) == 0
     lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
-    rows = []
-    for dt, dx in default_spacelike_grid(lattice):
-        w = pauli_jordan_per_pair(lattice, dt, dx, True)
-        wo = pauli_jordan_per_pair(lattice, dt, dx, False)
-        rows.append((dt, dx, w.real, w.imag, abs(w), wo.real, wo.imag, abs(wo)))
-    header = ("dt", "dx", "re_with", "im_with", "abs_with", "re_without", "im_without", "abs_without")
-    artifacts.write_csv(str(tmp_path / "oracle.csv"), header, rows)
-    assert read(tmp_path / "cli" / "causality.csv") == read(tmp_path / "oracle.csv")
+    lines = read(tmp_path / "causality.csv").strip().splitlines()
+    assert lines[0] == "dt,dx,re_with,im_with,abs_with,re_without,im_without,abs_without"
+    grid = default_spacelike_grid(lattice)
+    assert len(lines) == 1 + len(grid)
+    for (dt, dx), line in zip(grid, lines[1:]):
+        fields = line.split(",")
+        assert fields[2] == "0.0000000000000000e+00"  # re_with is +0.0 in every row
+        values = [float(text) for text in fields]
+        assert values[:2] == [dt, dx]
+        w, wo = complex(values[2], values[3]), complex(values[5], values[6])
+        assert values[4] == abs(w) and values[7] == abs(wo)
+        bound = sweep_rounding_bound(lattice, dt, dx)
+        assert abs(w - pauli_jordan_per_pair(lattice, dt, dx, True)) <= 2 * bound
+        assert abs(wo - pauli_jordan_per_pair(lattice, dt, dx, False)) <= bound
 
 
 def test_causality_zero_cone_margin_leaves_out_the_light_cone(tmp_path):
@@ -309,10 +317,16 @@ def test_verify_only_filter(capsys):
 
 
 def test_verify_comment6_matches_per_pair_pauli_jordan(capsys):
+    # verify prints the sweep's maxima; each moves from the oracle's by no more than the largest
+    # difference of its entries, which the sweep's rounding bound (twice it with antiparticles) caps
     lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
     grid = default_spacelike_grid(lattice)
-    with_max = max(abs(pauli_jordan_per_pair(lattice, dt, dx, True)) for dt, dx in grid)
-    without_max = max(abs(pauli_jordan_per_pair(lattice, dt, dx, False)) for dt, dx in grid)
+    with_vals, without_vals = commutator_sweep(lattice, grid)
+    with_max = max(abs(v) for v in with_vals)
+    without_max = max(abs(v) for v in without_vals)
+    bound = max(sweep_rounding_bound(lattice, dt, dx) for dt, dx in grid)
+    assert abs(with_max - max(abs(pauli_jordan_per_pair(lattice, dt, dx, True)) for dt, dx in grid)) <= 2 * bound
+    assert abs(without_max - max(abs(pauli_jordan_per_pair(lattice, dt, dx, False)) for dt, dx in grid)) <= bound
     assert run(["verify", "--only", "comment6"]) == 0
     assert capsys.readouterr().out == (
         "comment6  pass  spacelike commutator cancellation with antiparticles: "
@@ -624,7 +638,7 @@ def test_edge_floats_run_or_exit_2_with_one_error_line(tmp_path, scenario, name,
 
 def edge_texts(name, param):
     """The values an example of several parameters draws for one parameter: an int's lo, lo + 1 and
-    hi, except the hi of M and pairs (one run there takes 15-30 s or about 1.3 s; pairs' hi is an
+    hi, except the hi of M and pairs (one run there takes about 3 s or about 1.3 s; each is an
     explicit example of the flag test); a float's or a one-entry list's edge floats and declared bounds."""
     if param.type is int:
         lo = 0 if param.lo is None else param.lo
@@ -651,6 +665,7 @@ def several_edge_parameters(draw):
 
 @settings(max_examples=350, derandomize=True, database=None, deadline=None)
 @example(["causality", "--dx", "1e200", "--mass", "0"])  # every p_eff² underflows, so every frequency is 0
+@example(["causality", "--M", str(PARAMETERS["causality"]["M"].hi)])
 @example(["fock-check", "--pairs", str(MAX_PAIRS)])
 @given(several_edge_parameters())
 def test_several_edge_parameters_run_or_exit_2_with_one_error_line(argv):
@@ -778,6 +793,25 @@ def test_incomplete_arguments_exit_2(tmp_path, argv, message):
     assert rc == 2
     assert err.endswith(message), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, partner", [("dts", "separations"), ("separations", "dts")])
+def test_causality_lists_are_bounded(tmp_path, capsys, name, partner):
+    # each list is bounded before the product of the two is built, by flag and by config key alike
+    config = tmp_path / "run.ini"
+    at_bound = ",".join(str(0.01 * k) for k in range(MAX_SWEEP_VALUES))
+    over = at_bound + ",9"
+    message = f"error: {name} must hold at most {MAX_SWEEP_VALUES} values, got {MAX_SWEEP_VALUES + 1}\n"
+    for partner_flags, partner_entry in (([], ""), ([f"--{partner}=1"], f"{partner} = 1\n")):  # alone or not
+        flags = ["causality", "--out-dir", str(tmp_path / "out"), "--M", "64", f"--{name}={over}", *partner_flags]
+        assert run(flags) == 2
+        assert capsys.readouterr().err == message
+        config.write_text(f"[causality]\n{name} = {over}\n{partner_entry}")
+        assert run(["causality", "--out-dir", str(tmp_path / "out"), "--M", "64", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+    assert run(["causality", "--out-dir", str(tmp_path / "out"), "--M", "64", f"--{name}={at_bound}", f"--{partner}=5"]) == 0
+    assert len(read(tmp_path / "out" / "causality.csv").strip().splitlines()) == 1 + MAX_SWEEP_VALUES
 
 
 def test_times_range_is_bounded(tmp_path, capsys):

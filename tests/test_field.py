@@ -1,11 +1,14 @@
+import ast
+import inspect
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockfield import field
 from fockfield.field import (
     Dispersion,
     GeneralStateSpec,
@@ -25,6 +28,7 @@ from fockfield.field import (
     prepare_one_particle,
     site_mode_space,
     to_momentum,
+    _commutator_modes,
 )
 from fockfield.fock import (
     ModeSpace,
@@ -35,7 +39,7 @@ from fockfield.fock import (
     vacuum,
 )
 from fockfield.wick import evaluate, parse, vacuum_expectation
-from field_oracles import pauli_jordan_per_pair
+from field_oracles import pauli_jordan_per_pair, sweep_rounding_bound
 from fock_oracles import identity_resolution_residual
 
 LAT8 = LatticeSpec(8, 1.0, 1.0)
@@ -308,6 +312,20 @@ def test_prepare_general_rejects_an_amplitude_that_is_not_finite_naming_its_site
         prepare_general(GeneralStateSpec(amplitudes), site_mode_space(LAT8))
 
 
+@pytest.mark.parametrize("amplitude", ["1", None, True, np.True_, Decimal("0.5"), [1.0]])
+def test_prepare_general_rejects_an_amplitude_that_is_not_a_number_naming_its_sites(amplitude):
+    # a bool would otherwise be the amplitude 1, and a str or None leaked an AttributeError
+    message = "^" + re.escape(f"amplitude at sites (2, 5) must be a real or complex number, got {amplitude!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        prepare_general(GeneralStateSpec({(99,): 1.0, (2, 5): amplitude}), site_mode_space(LAT8))
+
+
+@pytest.mark.parametrize("amplitude", [1, 0.5, 1j, Fraction(1, 2), np.float32(0.5), np.int64(1), np.complex64(1j)])
+def test_prepare_general_takes_any_real_or_complex_number(amplitude):
+    v = prepare_general(GeneralStateSpec({(): 1.0, (3,): amplitude}), site_mode_space(LAT8))
+    assert abs(v.norm - 1.0) < 1e-12 and len(v.amplitudes) == 2
+
+
 def test_prepare_general_skips_zero_amplitudes_before_building_their_sites():
     # site 99 is no mode of the space; with a zero amplitude it is never created
     v = prepare_general(GeneralStateSpec({(): 1.0, (99,): 0.0}), site_mode_space(LAT8))
@@ -450,37 +468,101 @@ def test_spacelike_sweep_bounds():
     assert max(abs(v) for v in without_vals) >= 0.05
 
 
+def bits(values):
+    """Bit patterns of complex values, so signed zeros must match as well as ordinary values."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+def assert_sweep_within_rounding_bound(lattice, pairs):
+    """commutator_sweep against the per-pair oracle, pair by pair, within sweep_rounding_bound (twice
+    that with antiparticles); every value with antiparticles has a real part of exactly +0.0.  Each
+    sampled pair evaluated alone by pauli_jordan has the bits it has in the sweep, and pairs that
+    compare equal (0.0 equals -0.0) have equal bits."""
+    with_vals, without_vals = commutator_sweep(lattice, pairs)
+    assert len(with_vals) == len(without_vals) == len(pairs)
+    seen = {}
+    for (dt, dx), w, wo in zip(pairs, with_vals, without_vals):
+        bound = sweep_rounding_bound(lattice, dt, dx)
+        assert abs(wo - pauli_jordan_per_pair(lattice, dt, dx, False)) <= bound
+        assert abs(w - pauli_jordan_per_pair(lattice, dt, dx, True)) <= 2 * bound
+        assert bits([w.real]) == bits([0.0])
+        assert seen.setdefault((dt, dx), bits([w, wo])) == bits([w, wo])
+    for i in range(0, len(pairs), max(1, len(pairs) // 20)):
+        dt, dx = pairs[i]
+        alone = [pauli_jordan(lattice, dt, dx, True), pauli_jordan(lattice, dt, dx, False)]
+        assert bits(alone) == bits([with_vals[i], without_vals[i]])
+    return with_vals, without_vals
+
+
 @st.composite
 def sweep_cases(draw):
-    """(lattice, pairs) with even M, spacing > 0, mass possibly 0 or so small
-    that its square underflows, and a pair count of 0, 1 or enough to span
-    more than one chunk."""
-    count = draw(st.sampled_from(["none", "one", "chunks"]))
-    M = 2 * draw(st.integers(128 if count == "chunks" else 1, 300))
+    """(lattice, pairs) with even M, spacing > 0, mass possibly 0 or so small that its square
+    underflows, and pairs that are none, one, a dts × separations product as causality forms it,
+    or pairs drawn from a few values and ±0.0, so that pairs repeat and differ in a zero's sign."""
+    kind = draw(st.sampled_from(["none", "one", "product", "repeats"]))
+    M = 2 * draw(st.integers(1, 300))
     spacing = draw(st.floats(0.01, 2.0))
     mass = draw(st.just(0.0) | st.just(1e-200) | st.floats(0.0, 5.0))
     lattice = LatticeSpec(M, spacing, mass, Dispersion.RELATIVISTIC)
-    if count == "none":
+    value = st.floats(-100.0, 100.0)
+    if kind == "none":
         return lattice, []
-    if count == "one":
-        return lattice, [(draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))]
-    # at least one row more than a chunk holds, whether or not k = 0 is dropped
-    n = field._BLOCK_ELEMENTS // (M - 1) + draw(st.integers(1, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return lattice, [(float(dt), float(dx)) for dt, dx in rng.uniform(-50.0, 50.0, size=(n, 2))]
+    if kind == "one":
+        return lattice, [(draw(value), draw(value))]
+    if kind == "product":
+        dts, separations = (draw(st.lists(value, min_size=1, max_size=25)) for _ in range(2))
+        return lattice, [(dt, dx) for dt in dts for dx in separations]
+    pool = st.sampled_from(draw(st.lists(value, min_size=1, max_size=3)) + [0.0, -0.0])
+    return lattice, draw(st.lists(st.tuples(pool, pool), min_size=2, max_size=60))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sweep_cases())
-def test_commutator_sweep_equals_pauli_jordan_exactly(case):
-    # bit patterns, so signed zeros must match as well as ordinary values
-    def bits(values):
-        return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+# both zeros in one sweep: a pair's bits must not depend on which of them np.unique keeps
+@example((REL512, [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 1.0), (0.0, 1.0)]))
+def test_commutator_sweep_matches_the_per_pair_oracle_within_the_rounding_bound(case):
+    assert_sweep_within_rounding_bound(*case)
 
-    lattice, pairs = case
-    with_vals, without_vals = commutator_sweep(lattice, pairs)
-    assert bits(with_vals) == bits([pauli_jordan_per_pair(lattice, dt, dx, True) for dt, dx in pairs])
-    assert bits(without_vals) == bits([pauli_jordan_per_pair(lattice, dt, dx, False) for dt, dx in pairs])
+
+def test_commutator_sweep_on_the_default_grid_matches_the_per_pair_oracle():
+    with_vals, _ = assert_sweep_within_rounding_bound(REL512, default_spacelike_grid(REL512))
+    assert len(with_vals) == 6914
+
+
+def test_commutator_sweep_on_scattered_pairs_matches_the_per_pair_oracle():
+    # every pair has its own dt and dx, so each table row serves one pair; at Δx = 0.01 the
+    # phases reach about 1.6e4, and m = 0 drops the k = 0 mode
+    lattice = LatticeSpec(600, 0.01, 0.0, Dispersion.RELATIVISTIC)
+    rng = np.random.default_rng(25)
+    assert_sweep_within_rounding_bound(lattice, [tuple(pair) for pair in rng.uniform(-50.0, 50.0, size=(2000, 2)).tolist()])
+
+
+def test_commutator_sweep_calls_no_blas():
+    # a BLAS product would tie the bits to the BLAS kernel and thread count, and OpenBLAS workers
+    # keep spinning after the call; einsum with its default optimize=False runs numpy's own loop
+    tree = ast.parse(inspect.getsource(commutator_sweep))
+    nodes = list(ast.walk(tree))
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) for node in nodes)
+    names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert not names & {"dot", "vdot", "matmul", "inner", "tensordot", "linalg"}
+    assert "einsum" in names
+    assert not [kw for node in nodes if isinstance(node, ast.Call) for kw in node.keywords if kw.arg == "optimize"]
+
+
+def test_a_phase_difference_that_overflows_keeps_the_product_of_its_finite_factors():
+    # p·dx and ω·dt are finite but p·dx − ω·dt overflows at the zone edge; the per-pair phase is
+    # not finite there, while the sweep's two factors are, so it returns their product
+    dt = dx = 1.25e307
+    w, p = _commutator_modes(REL512)
+    assert np.isfinite(p * dx).all() and np.isfinite(w * dt).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(p * dx - w * dt).all()
+    factors = np.exp(1j * (p * dx)) * np.exp(-1j * (w * dt)) / (2.0 * w)
+    value = pauli_jordan(REL512, dt, dx, False)
+    eps = np.finfo(float).eps
+    M = REL512.num_sites
+    assert abs(value - np.sum(factors) / M) <= eps * (len(w) + 8) * np.sum(1.0 / (2.0 * w)) / M
+    assert bits([pauli_jordan(REL512, dt, dx, True)]) == bits([complex(0.0, 2.0 * value.imag)])
 
 
 def test_commutator_sweep_requires_relativistic_dispersion():
