@@ -8,9 +8,12 @@ exp(−i p² t / 2m) in momentum space, which removes any integrator error
 from tests of those identities.
 
 `trajectory` evolves blocks of sample times as one (times × sites)
-array: one phase exponential, one inverse FFT along the rows for f and
-one for P f, and the expectations as row sums.  Each value is
-bit-identical to evolving the samples one at a time.
+array: one inverse FFT along the rows for f and one for P f, and the
+expectations as row sums.  The FFT inputs of a uniform time grid are row
+products of two small phase tables, written in FFT order; other times
+take one half-spectrum phase exponential per sample, bit-identical to
+evolving the samples one at a time.  The tables round differently, by a
+bound that tests/dynamics_oracles.py derives.
 
 The canonical commutator [X, P] = i cannot hold globally on a periodic
 lattice, so every continuum identity here is asserted on localized
@@ -25,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (
-    LatticeSpec,
-    WaveAmplitude,
-    from_momentum_values,
-    to_momentum,
-)
+from .field import LatticeSpec, WaveAmplitude, _fft_order, to_momentum
 from .fock import _BLOCK_ELEMENTS
+
+# The phase tables of a uniform grid hold at most this many complex values
+# (4 MiB), twice a block: a 4096-site, 501-sample trajectory needs 184,320.
+_TABLE_ELEMENTS = 2 * _BLOCK_ELEMENTS
+_GRID_TOL = 4 * np.finfo(float).eps  # of max|t|: how far a uniform grid's times may sit from t₀ + k·h
 
 
 class SeamError(ValueError):
@@ -95,23 +98,49 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
     return WaveAmplitude(f / np.linalg.norm(f), lattice)
 
 
+def _half_phases(times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """exp(−i p² t / 2m) for |k| = 0 .. M/2, one row per entry of the 1-D float
+    array times; nan or inf where the phase is not finite.
+
+    The momenta are exactly sign-symmetric, so p and −p have bit-equal p²,
+    and these M/2 + 1 columns hold every distinct phase of a row.
+    """
+    p = lattice.momenta[lattice.num_sites // 2::-1]  # k = 0, −1, .., −M/2
+    with np.errstate(all="ignore"):  # a phase that is not finite makes its exponential nan, reported by callers
+        return np.exp(-1j * p**2 * times[:, None] / (2 * lattice.mass))
+
+
+def _full_spectrum(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """Rows of _half_phases spread over the M FFT slots; FFT slot i holds |k| = min(i, M − i)."""
+    slots = np.arange(lattice.num_sites)
+    return half.take(np.minimum(slots, lattice.num_sites - slots), axis=1)
+
+
 def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Momentum amplitudes g(p)·exp(−i p² t / 2m), one row per entry of the
-    1-D float array times.
+    """FFT inputs g·exp(−i p² t / 2m), one row per entry of the 1-D float
+    array times, with g a momentum amplitude in the FFT input order of
+    field._fft_order, its shift signs applied.  One complex exp per time
+    and distinct |k|.
 
     Raises ValueError for a mass that is not positive, or when p² t / 2m
     is not finite for some mode and time, so no evolved value is nan.
     """
     if lattice.mass <= 0:
         raise ValueError("mass must be positive")
-    with np.errstate(all="ignore"):  # a phase that is not finite makes its exponential nan, reported below
-        phases = np.exp(-1j * lattice.momenta**2 * times[:, None] / (2 * lattice.mass))
+    phases = _half_phases(times, lattice)
     if not np.isfinite(phases).all():
         raise ValueError(
             f"the phase p^2 t / 2m is not finite for times up to {float(np.max(np.abs(times)))!r} "
             f"at mass {lattice.mass!r}"
         )
-    return g * phases
+    return g * _full_spectrum(phases, lattice)
+
+
+def _fft_input(f: WaveAmplitude):
+    """f's momentum amplitude in FFT input order, its shift signs applied,
+    and the momenta in that order."""
+    order, signs = _fft_order(f.lattice)
+    return to_momentum(f).values.take(order) * signs, f.lattice.momenta.take(order)
 
 
 def evolve(f: WaveAmplitude, t: float) -> WaveAmplitude:
@@ -119,12 +148,72 @@ def evolve(f: WaveAmplitude, t: float) -> WaveAmplitude:
 
     Unitary for every t; the momentum distribution is invariant.
     """
-    gt = _evolved_momenta(to_momentum(f).values, np.array([t], dtype=float), f.lattice)[0]
-    return WaveAmplitude(from_momentum_values(gt, f.lattice), f.lattice)
+    u = _evolved_momenta(_fft_input(f)[0], np.array([t], dtype=float), f.lattice)[0]
+    return WaveAmplitude(np.fft.ifft(u) * np.sqrt(f.lattice.num_sites), f.lattice)
+
+
+def _uniform_step(ts: np.ndarray):
+    """The step h of a uniform grid t_k = t₀ + k·h, or None.
+
+    The rule: at least three times, all finite, and every
+    |t_k − (t₀ + k·h)| ≤ 4ε·max|t| with h = (t_{n−1} − t₀)/(n − 1).  Grids
+    built as start + k·step (the CLI's start:stop:step, np.arange) or by
+    np.linspace deviate by a few ulp of max|t| and pass.
+    """
+    n = len(ts)
+    if n < 3 or not np.isfinite(ts).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows makes h inf, which fails below
+        h = (ts[-1] - ts[0]) / (n - 1)
+        deviation = np.max(np.abs(ts - (ts[0] + np.arange(n) * h)))
+    return h if deviation <= _GRID_TOL * np.max(np.abs(ts)) else None  # written so that nan fails
+
+
+def _phase_tables(g: np.ndarray, ts: np.ndarray, lattice: LatticeSpec):
+    """The tables of a uniform grid t_k = t₀ + k·h, with B = ⌈√n⌉ and k = a·B + b:
+    coarse rows g·exp(−i q t_{aB}) and fine rows exp(−i q b h), q = p²/2m, both
+    in FFT input order, so the FFT input of sample k is the row product
+    coarse[a] · fine[b].  None, for the per-sample phases, when the grid is
+    not uniform (_uniform_step), when the tables would hold more than
+    _TABLE_ELEMENTS values, or when a table row or the phase at the largest
+    |t| is not finite (a zero mass makes every phase nan): the per-sample
+    step then raises its error for the first block whose phase is not
+    finite.  Every phase is finite if the one at the largest |t| is.
+    """
+    h = _uniform_step(ts)
+    if h is None:
+        return None
+    n = len(ts)
+    B = math.isqrt(n - 1) + 1
+    coarse_times = ts[::B]
+    if (len(coarse_times) + B) * lattice.num_sites > _TABLE_ELEMENTS:
+        return None
+    fine_times = np.arange(B) * h
+    half = _half_phases(np.concatenate([coarse_times, fine_times, ts[[np.argmax(np.abs(ts))]]]), lattice)
+    if not np.isfinite(half).all():
+        return None
+    tables = _full_spectrum(half[:-1], lattice)
+    coarse, fine = tables[:len(coarse_times)], tables[len(coarse_times):]
+    coarse *= g  # in place, in one array with the fine rows
+    return coarse, fine
 
 
 def trajectory(f0: WaveAmplitude, times):
     """Observable records along the exact evolution on f0's own lattice, one per sample time.
+
+    Blocks of rows = max(1, _BLOCK_ELEMENTS // M) sample times go through
+    one inverse FFT for f and one for P f, with the expectations as row
+    sums.  On a uniform grid (_uniform_step) each block's FFT input is one
+    row product of the two _phase_tables; any other times, and tables over
+    their budget, take one half-spectrum exp per sample, whose f and P f
+    are bit-identical to evolving each sample alone.  The table phases
+    differ from those by a few ε·|p² t / 2m| per mode, and
+    tests/dynamics_oracles.py derives the bound this puts on every record
+    field.  |phase| = 1 leaves |g|² unchanged, so ⟨P⟩, ⟨H⟩ and ΔP come once
+    from |g₀|² and are the same in every record.
+
+    Memory: the tables (at most _TABLE_ELEMENTS complex values) and at
+    most ten arrays of a block's rows × M complex values.
 
     Raises SeamError naming the first sample time at which the packet
     center comes within 8 measured widths of the periodic boundary.
@@ -132,35 +221,46 @@ def trajectory(f0: WaveAmplitude, times):
     would add the products in another order.
     """
     lattice = f0.lattice
-    g0 = to_momentum(f0).values
+    g, p = _fft_input(f0)
     x = lattice.positions
-    p = lattice.momenta
     half = lattice.length / 2
+    scale = np.sqrt(lattice.num_sites)
+    w = np.abs(g) ** 2
+    mean_p = float(np.sum(p * w))
+    mean_p2 = float(np.sum(p**2 * w))
+    dp = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
     ts = np.asarray(list(times), dtype=float)
+    tables = _phase_tables(g, ts, lattice)
     rows = max(1, _BLOCK_ELEMENTS // lattice.num_sites)
     records = []
     for lo in range(0, len(ts), rows):
         block = ts[lo:lo + rows]
-        gt = _evolved_momenta(g0, block, lattice)
-        ft = from_momentum_values(gt, lattice)
-        pf = from_momentum_values(p * gt, lattice)
+        if tables is None:
+            u = _evolved_momenta(g, block, lattice)
+        else:
+            coarse, fine = tables
+            a, b = np.divmod(np.arange(lo, lo + len(block)), len(fine))
+            u = coarse[a]
+            u *= fine[b]
+        pf = np.fft.ifft(p * u, axis=1)
+        pf *= scale
+        ft = np.fft.ifft(u, axis=1)
+        del u  # one block array fewer at the peak
+        ft *= scale
         fdens = np.abs(ft) ** 2
-        gdens = np.abs(gt) ** 2
         mean_x = np.sum(x * fdens, axis=1).tolist()
         mean_x2 = np.sum(x**2 * fdens, axis=1).tolist()
-        mean_p = np.sum(p * gdens, axis=1).tolist()
-        mean_p2 = np.sum(p**2 * gdens, axis=1).tolist()
         xf = x * ft
         for i, t in enumerate(block.tolist()):
             rec = TrajectoryRecord(
                 t=t,
                 mean_x=mean_x[i],
-                mean_p=mean_p[i],
+                mean_p=mean_p,
                 mean_x2=mean_x2[i],
                 mean_c=float(np.real(np.vdot(xf[i], pf[i]))),
-                mean_h=mean_p2[i] / (2 * lattice.mass),
+                mean_h=mean_p2 / (2 * lattice.mass),
                 dx=float(np.sqrt(max(mean_x2[i] - mean_x[i] ** 2, 0.0))),
-                dp=float(np.sqrt(max(mean_p2[i] - mean_p[i] ** 2, 0.0))),
+                dp=dp,
             )
             if half - abs(rec.mean_x) < 8 * rec.dx:
                 raise SeamError(f"packet within 8 widths of the seam at t={t:g}")

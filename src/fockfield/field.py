@@ -172,16 +172,25 @@ def overlap(lattice: LatticeSpec, x_index: int, p_index: int) -> complex:
     return complex(np.exp(-1j * p * x) / np.sqrt(M))
 
 
-def _shift_signs(lattice: LatticeSpec) -> np.ndarray:
-    # exp(i pi k) factors from the half-lattice origin offset
-    return np.where(lattice.wavenumbers % 2 == 0, 1.0, -1.0)
+def _fft_order(lattice: LatticeSpec):
+    """The FFT input order of momentum amplitudes: ``(order, signs)``.
+
+    FFT slot i holds wavenumber k = i for i < M/2 and k = i − M above, so
+    ``values.take(order, axis=-1)`` puts amplitudes indexed like
+    lattice.momenta into that order (order swaps the two halves, so it is
+    its own inverse), and ``signs`` holds the factors exp(iπk), from the
+    half-lattice origin offset, in that order.  A factor of ±1 commutes
+    with rounding, so where it is applied does not change a bit.
+    """
+    slots = np.arange(lattice.num_sites)
+    return np.roll(slots, -(lattice.num_sites // 2)), np.where(slots % 2 == 0, 1.0, -1.0)
 
 
 def to_momentum(f: WaveAmplitude) -> MomentumAmplitude:
     """g(p) = Σ_x f(x) ⟨φ_p, φ_x⟩, evaluated by FFT."""
     lat = f.lattice
-    M = lat.num_sites
-    g = _shift_signs(lat) * np.fft.fftshift(np.fft.fft(f.values)) / np.sqrt(M)
+    order, signs = _fft_order(lat)
+    g = (signs * np.fft.fft(f.values)).take(order) / np.sqrt(lat.num_sites)
     return MomentumAmplitude(g, lat)
 
 
@@ -194,8 +203,8 @@ def from_momentum_values(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray
     """The inverse transform of from_momentum along the last axis, so a
     (rows × M) array is transformed row by row, each row in the same float
     operations as a single amplitude."""
-    shifted = np.fft.ifftshift(_shift_signs(lattice) * values, axes=-1)
-    return np.fft.ifft(shifted, axis=-1) * np.sqrt(lattice.num_sites)
+    order, signs = _fft_order(lattice)
+    return np.fft.ifft(values.take(order, axis=-1) * signs, axis=-1) * np.sqrt(lattice.num_sites)
 
 
 def site_mode_space(lattice: LatticeSpec, statistics=Statistics.BOSE, nmax: int = 8) -> ModeSpace:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import index as _index
@@ -216,6 +217,10 @@ class FockVector:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar) -> "FockVector":
+        # an operator's NotImplemented makes Python raise TypeError for '1' * v, None * v and
+        # True * v; numbers.Complex holds int, float, complex, Fraction and the numpy numbers
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Complex):
+            return NotImplemented
         if scalar == 0.0:
             return FockVector(self.mode_space, {})
         # math, not cmath: importing cmath raised the fock_states benchmark's peak RSS by about

@@ -1,16 +1,26 @@
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynamics_oracles import build_observables, trajectory_per_sample
+from dynamics_oracles import (
+    EPS,
+    build_observables,
+    records_per_sample,
+    seam_margin,
+    trajectory_per_sample,
+    trajectory_rounding_bound,
+)
 import fockfield
 from fockfield import dynamics
+from fockfield.cli import _parse_times
 from fockfield.dynamics import (
     SeamError,
+    TrajectoryRecord,
     ehrenfest_residuals,
     evolve,
     gaussian_packet,
@@ -236,7 +246,7 @@ def test_norm_conserved_along_trajectory():
         assert abs(evolve(f, t).norm - 1.0) <= 1e-12
 
 
-# -- blocked trajectory against the per-sample oracle, bit for bit
+# -- blocked trajectory against the per-sample oracle, within its rounding bound
 
 
 def outcome(fn, *args):
@@ -249,8 +259,29 @@ def outcome(fn, *args):
 
 
 def assert_trajectory_matches_oracle(packet, times):
+    """trajectory against the per-sample oracle: each t bit for bit, every other field within
+    trajectory_rounding_bound.  The seam check is held to the oracle's margin: a sample whose margin
+    is clear of the margin's bound must pass or fail it as in the oracle, and one within the bound
+    may do either.  Returns the outcome of trajectory."""
+    lattice = packet.lattice
     got = outcome(trajectory, packet, times)
-    assert got == outcome(trajectory_per_sample, packet, times, packet.lattice)
+    want = records_per_sample(packet, times, lattice)
+    bounds = trajectory_rounding_bound(packet, times, want)
+    clear = []  # per sample: +1 clearly inside the seam check, -1 clearly outside, 0 within the bound
+    for rec, bound in zip(want, bounds):
+        margin, slack = seam_margin(rec, lattice), bound.mean_x + 8 * bound.dx + EPS * lattice.length
+        clear.append(1 if margin > slack else -1 if margin < -slack else 0)
+    if got and got[0] == "SeamError":
+        first_out = clear.index(-1) if -1 in clear else len(clear)
+        assert any(got[1] == f"packet within 8 widths of the seam at t={t:g}" and clear[k] < 1
+                   for k, t in enumerate(times[:first_out + 1])), (got, clear)
+        return got
+    assert -1 not in clear and len(got) == len(want)
+    for row, rec, bound in zip(got, want, bounds):
+        assert row[0] == (float, float(rec.t).hex())
+        for (kind, bits), name in zip(row[1:], TrajectoryRecord.CSV_HEADER[1:]):
+            assert kind is float
+            assert abs(float.fromhex(bits) - getattr(rec, name)) <= getattr(bound, name), (name, rec.t)
     return got
 
 
@@ -314,7 +345,10 @@ def trajectory_cases(draw):
     if at_block_edge:
         n = dynamics._BLOCK_ELEMENTS // M + draw(st.sampled_from((-1, 0, 1)))
     else:
-        n = draw(st.sampled_from((0, 1, 2, 7)))
+        n = draw(st.sampled_from((0, 1, 2, 3, 7)))
+    if draw(st.booleans()):  # a uniform grid t0 + k h, of either direction, which takes the phase tables
+        t0, h = draw(st.floats(-40.0, 40.0)), draw(st.floats(-2.0, 2.0))
+        return packet, [t0 + k * h for k in range(n)]
     # sampled values repeat; free floats are unsorted and of either sign
     time = st.one_of(st.sampled_from((0.0, -0.0, 1.5, -3.0)), st.floats(-40.0, 40.0))
     times = draw(st.lists(time, min_size=n, max_size=n))
@@ -325,6 +359,134 @@ def trajectory_cases(draw):
 @given(trajectory_cases())
 def test_property_blocked_trajectory_equals_per_sample_bitwise(case):
     assert_trajectory_matches_oracle(*case)
+
+
+def paths_taken(monkeypatch):
+    """Record, per trajectory call, whether it took the phase tables."""
+    taken = []
+    tables = dynamics._phase_tables
+
+    def spy(*args):
+        result = tables(*args)
+        taken.append("tables" if result is not None else "per-sample")
+        return result
+
+    monkeypatch.setattr(dynamics, "_phase_tables", spy)
+    return taken
+
+
+UNIFORM_GRIDS = [  # packet index in BENCHMARK_PACKETS or "verify" or "large", times
+    (0, [k * 0.5 for k in range(101)]),  # the wavepacket scenario's default
+    ("verify", [k * 0.25 for k in range(49)]),
+    ("verify", [k * 1e-3 for k in range(51)]),
+    ("large", [k * 0.1 for k in range(501)]),  # the benchmark's heavy wavepacket
+    (2, _parse_times("-3.7:21.3:0.3")),
+    (4, [-0.0, 0.5, 1.0, 1.5]),
+    (3, [6.0 - 0.75 * k for k in range(40)]),
+]
+
+
+def uniform_grid_packet(which):
+    if which == "large":
+        return gaussian_packet(LatticeSpec(4096, 1.0, 1.0), 0.0, 0.0, 40.0, 1.0)
+    lattice, kw = VERIFY_PACKET if which == "verify" else BENCHMARK_PACKETS[which]
+    return gaussian_packet(lattice, **kw)
+
+
+F_COLUMNS = ("t", "mean_x", "mean_x2", "mean_c", "dx")  # the fields that f and P f alone decide
+
+
+@pytest.mark.parametrize("which, times", UNIFORM_GRIDS)
+def test_phase_tables_match_the_per_sample_fallback_within_the_rounding_bound(which, times, monkeypatch):
+    packet = uniform_grid_packet(which)
+    taken = paths_taken(monkeypatch)
+    fast = trajectory(packet, times)
+    monkeypatch.setattr(dynamics, "_TABLE_ELEMENTS", 0)  # tables over their budget: the fallback
+    slow = trajectory(packet, times)
+    assert taken == ["tables", "per-sample"]
+    want = records_per_sample(packet, times, packet.lattice)
+    for a, b, rec, bound in zip(fast, slow, want, trajectory_rounding_bound(packet, times, want), strict=True):
+        for name in TrajectoryRecord.CSV_HEADER:
+            assert abs(getattr(a, name) - getattr(b, name)) <= getattr(bound, name), (name, rec.t)
+        # the fallback keeps the per-sample f and P f
+        assert [getattr(b, name).hex() for name in F_COLUMNS] == [getattr(rec, name).hex() for name in F_COLUMNS]
+
+
+NUDGE = [k / 10 for k in range(11)]  # max|t| = 1, so the rule allows 4 eps
+
+
+@pytest.mark.parametrize("times, path", [
+    ([], "per-sample"),
+    ([2.5], "per-sample"),
+    ([0.0, 1.0], "per-sample"),  # n <= 2
+    ([0.0, 0.5, 1.0], "tables"),
+    (NUDGE[:5] + [NUDGE[5] + 16 * EPS] + NUDGE[6:], "per-sample"),
+    (NUDGE[:5] + [NUDGE[5] + EPS] + NUDGE[6:], "tables"),
+    (_parse_times("0.3:5.3:0.1"), "tables"),
+    ([-0.0, 0.5, 1.0], "tables"),
+    ([1.0, 0.5, -0.0], "tables"),
+    ([2.0, 2.0, 2.0], "tables"),  # h = 0
+    ([3.0, -1.0, 3.0, 0.5, -0.0], "per-sample"),
+])
+def test_uniform_grid_rule_at_its_edges(times, path, monkeypatch):
+    lattice, kw = VERIFY_PACKET
+    packet = gaussian_packet(lattice, **kw)
+    assert (dynamics._uniform_step(np.asarray(times, dtype=float)) is not None) == (path == "tables")
+    taken = paths_taken(monkeypatch)
+    assert_trajectory_matches_oracle(packet, times)
+    assert taken == [path]
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, float("nan"), 2.0], "times up to nan at mass 1.0"),
+    ([0.0, 1.0, float("inf")], "times up to inf at mass 1.0"),
+    ([float("nan")] * 3, "times up to nan at mass 1.0"),
+    ([0.0, 5e307, 1e308], "times up to 1e+308 at mass 1.0"),  # uniform and finite; the tables are not
+    # p^2 t overflows at the last time only, which is in neither table
+    ([0.0, 6.2e306, 1.24e307, 1.86e307], "times up to 1.86e+307 at mass 1.0"),
+])
+def test_times_whose_phase_is_not_finite_keep_the_per_sample_error(times, message, monkeypatch):
+    lattice, kw = VERIFY_PACKET
+    taken = paths_taken(monkeypatch)
+    with pytest.raises(ValueError, match=f"^the phase p\\^2 t / 2m is not finite for {re.escape(message)}$") as exc:
+        trajectory(gaussian_packet(lattice, **kw), times)
+    assert exc.traceback[-1].name == "_evolved_momenta"
+    assert taken == ["per-sample"]
+
+
+@pytest.mark.parametrize("times", [
+    [k * 0.25 for k in range(49)],  # the phase tables
+    [3.0, -1.0, 3.0, 0.5, -0.0],  # per sample
+    [k * 1e-3 for k in range(2 * dynamics._BLOCK_ELEMENTS // 64 + 5)],  # tables, three blocks
+    [(-1) ** k * k * 1e-3 for k in range(dynamics._BLOCK_ELEMENTS // 64 + 5)],  # per sample, two blocks
+])
+def test_momentum_columns_are_exactly_constant_along_a_trajectory(times):
+    # |phase| = 1 leaves |g|^2 unchanged, so mean_p, mean_h and dp come once from |g0|^2
+    lattice, kw = VERIFY_PACKET
+    records = trajectory(gaussian_packet(lattice, **kw), times)
+    assert len({(r.mean_p.hex(), r.mean_h.hex(), r.dp.hex()) for r in records}) == 1
+
+
+@pytest.mark.parametrize("M, n, step, sigma0, seam", [
+    (1 << 16, 2000, 1e4, 2.0, "t=20000"),  # tables over their budget; the seam stops it at the third sample
+    (4096, 501, 0.1, 40.0, None),  # the benchmark's heavy wavepacket, through the tables
+])
+def test_trajectory_memory_stays_within_the_tables_and_ten_block_arrays(M, n, step, sigma0, seam):
+    # the budget trajectory's docstring states: the tables and ten arrays of rows x M complex values.
+    # Any tables are built before the first block, so stopping at the seam still measures them.
+    packet = gaussian_packet(LatticeSpec(M, 1.0, 1.0), 0.0, 0.0, sigma0)
+    rows = max(1, dynamics._BLOCK_ELEMENTS // M)
+    tracemalloc.start()
+    try:
+        if seam:
+            with pytest.raises(SeamError, match=f"at {seam}$"):
+                trajectory(packet, np.arange(n) * step)
+        else:
+            assert len(trajectory(packet, np.arange(n) * step)) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (dynamics._TABLE_ELEMENTS + 10 * rows * M)
 
 
 @pytest.mark.parametrize("M", [64, 256, 4096])

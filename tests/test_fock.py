@@ -3,6 +3,7 @@ import math
 import struct
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ def test_scaling_by_a_non_finite_scalar_raises_naming_it(scalar):
     v = basis_state(BOSE2, (1, 0))
     with pytest.raises(ValueError, match="^scalar must be finite, got "):
         scalar * v
+
+
+@pytest.mark.parametrize("scalar", ["1", None, True, False, np.True_, [2.0]])
+def test_scaling_by_a_scalar_that_is_not_a_number_raises_type_error(scalar):
+    # __rmul__ returns NotImplemented, so Python raises TypeError; a bool is not taken as 1 or 0
+    v = basis_state(BOSE2, (1, 0))
+    with pytest.raises(TypeError):
+        scalar * v
+    assert FockVector.__rmul__(v, scalar) is NotImplemented
+
+
+@pytest.mark.parametrize("scalar", [2, 0.5, 1j, Fraction(1, 2), np.float32(0.5), np.int64(2), np.complex64(1j),
+                                    np.float64(0.0)])
+def test_scaling_by_a_number_scales_every_amplitude(scalar):
+    v = basis_state(BOSE2, (1, 0)) + 1j * basis_state(BOSE2, (0, 2))
+    want = {k: scalar * a for k, a in v.amplitudes.items() if scalar != 0}
+    assert (scalar * v).amplitudes == want
+    assert FockVector.__rmul__(v, scalar).amplitudes == want
 
 
 @pytest.mark.parametrize("occupations, message", [
