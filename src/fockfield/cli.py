@@ -84,7 +84,7 @@ def _parse_float_list(text: str):
 MAX_TIME_SAMPLES = 10**6
 MAX_PAIRS = 10**6  # fock-check --pairs
 # causality --dts and --separations, each: the default grid's distinct dx at the M cap.  The sweep's
-# two tables then hold at most 2 x 512 x 2047 complex values (34 MB)
+# two tables then hold at most 2 x 512 x 2047 complex values (34 MB); 512 x 512 pairs at --M 2048 peak at 103 MB
 MAX_SWEEP_VALUES = 512
 LADDER_TOL = 1e-12  # largest ladder-relation residual fock-check and verify eq3 pass
 
@@ -124,8 +124,8 @@ PARAMETERS = {
     },
     "causality": {
         # the default grid holds about M²/32 (dt, dx) pairs, each a row product over M modes and a CSV row,
-        # so time grows as M³ and memory as M²: M = 1024 ran 0.9 s at a 69 MB peak and M = 2048 3.2 s
-        # (1.3 s of it the sweep) at 190 MB, so 4096 would take about 20 s at about 700 MB
+        # so time grows as M³ and memory as M²: M = 1024 ran 0.5 s at a 47 MB peak and M = 2048 2.6-2.9 s
+        # (1.5 s of it the sweep) at 95 MB, so 4096 would take about 20 s at about 300 MB
         "M": Param(int, 512, lo=4, hi=2048),  # the default grid holds no point below M = 4
         "dx": Param(float, 0.25, "lattice spacing"),
         "mass": Param(float, 1.0, lo=0),
@@ -135,7 +135,7 @@ PARAMETERS = {
         "workers": Param(int, 1, "no effect; kept so causality sidecars stay unchanged"),
     },
     "wavepacket": {
-        # a run holds a few M-site complex arrays: at M = 2^20, --times 0 ran 0.7 s at a 208 MB peak
+        # a run holds a few M-site complex arrays: at M = 2^20, --times 0 ran 0.6 s at a 175 MB peak
         # (2^21: 1.2 s, 384 MB) and each further sample adds about 0.3 s; the cap keeps the peak near 200 MB
         "M": Param(int, 256, lo=2, hi=2**20),
         "dx": Param(float, 1.0, "lattice spacing"),
@@ -228,12 +228,13 @@ def _file_path(args, filename: str, name: str) -> str:
     return path
 
 
-def _write_table(args, filename: str, header, rows, params: dict, note: str = "", **extra):
-    """Write a scenario's CSV and its sidecar, then print ``wrote <path>`` and `` (<note>)`` if
-    given.  The sidecar names args.scenario and records params, the extra entries, and the seed
-    and GENERATOR_NAME when params has a seed (null for both otherwise)."""
+def _write_table(args, filename: str, header, columns, params: dict, note: str = "", **extra):
+    """Write a scenario's CSV from its columns (artifacts.write_csv) and its sidecar, then print
+    ``wrote <path>`` and `` (<note>)`` if given.  The sidecar names args.scenario and records
+    params, the extra entries, and the seed and GENERATOR_NAME when params has a seed (null for
+    both otherwise)."""
     path = _out_path(args, filename)
-    artifacts.write_csv(path, header, rows)
+    artifacts.write_csv(path, header, columns)
     seed = params.get("seed")
     artifacts.write_metadata(path, args.scenario, params, seed=seed,
                              generator=None if seed is None else GENERATOR_NAME, extra=extra)
@@ -254,8 +255,8 @@ def run_fock_check(args) -> int:
         for relation, value in residuals.items():
             rows.append((space.statistics.value, relation, p["pairs"], value))
             worst = max(worst, value)
-    _write_table(args, "fock_check.csv", ("statistics", "relation", "samples", "max_residual"), rows, p,
-                 f"max residual {worst:.3e}")
+    _write_table(args, "fock_check.csv", ("statistics", "relation", "samples", "max_residual"), list(zip(*rows)),
+                 p, f"max residual {worst:.3e}")
     if worst > LADDER_TOL:
         raise InvariantViolation(f"ladder relation residual {worst:.3e} exceeds {LADDER_TOL:g}")
     return 0
@@ -305,7 +306,8 @@ def run_causality(args) -> int:
     # read before the sweep, so that a frequency that is not finite or underflows keeps its own message
     k0_excluded = bool(np.any(lattice.frequencies == 0))
     if p["dts"] is not None:
-        pairs = [(dt, dx) for dt in p["dts"] for dx in p["separations"]]
+        dts, separations = np.asarray(p["dts"], dtype=float), np.asarray(p["separations"], dtype=float)
+        pairs = np.column_stack([np.repeat(dts, len(separations)), np.tile(separations, len(dts))])
     else:
         pairs = default_spacelike_grid(lattice, cone_margin=p["cone_margin"])
     try:
@@ -316,12 +318,12 @@ def run_causality(args) -> int:
         # the sweep names the failing pair, but on the default grid mass, dx and M set the pairs
         raise ValueError(f"the phase p*dx - w*dt is not finite on the default grid at mass {p['mass']!r}, "
                          f"dx {p['dx']!r}, M {p['M']!r}") from None
-    rows = [
-        (dt, dx, w.real, w.imag, abs(w), wo.real, wo.imag, abs(wo))
-        for (dt, dx), w, wo in zip(pairs, with_vals, without_vals)
-    ]
+    # np.hypot has the bits of abs() of one complex value; np.abs of a complex array need not
+    columns = [pairs[:, 0], pairs[:, 1]]
+    for z in (with_vals, without_vals):
+        columns += [z.real, z.imag, np.hypot(z.real, z.imag)]
     header = ("dt", "dx", "re_with", "im_with", "abs_with", "re_without", "im_without", "abs_without")
-    _write_table(args, "causality.csv", header, rows, p, f"{len(rows)} points", k0_excluded=k0_excluded)
+    _write_table(args, "causality.csv", header, columns, p, f"{len(pairs)} points", k0_excluded=k0_excluded)
     return 0
 
 
@@ -337,15 +339,13 @@ def run_wavepacket(args) -> int:
     lattice = _lattice(p, Dispersion.NONRELATIVISTIC)
     packet = gaussian_packet(lattice, p["x0"], p["p0"], p["sigma0"], p["chirp"])
     records = trajectory(packet, p["times"])
-    _write_table(args, "wavepacket.csv", TrajectoryRecord.CSV_HEADER, [r.row() for r in records], p,
-                 f"{len(records)} samples")
+    columns = list(zip(*(r.row() for r in records)))  # times are never empty
+    _write_table(args, "wavepacket.csv", TrajectoryRecord.CSV_HEADER, columns, p, f"{len(records)} samples")
     if args.density_out is not None:
-        final = evolve(packet, p["times"][-1])
-        rows = [
-            (float(x), float(v.real), float(v.imag), float(abs(v) ** 2))
-            for x, v in zip(lattice.positions, final.values)
-        ]
-        _write_table(args, args.density_out, ("x", "re_f", "im_f", "density"), rows, p)
+        f = evolve(packet, p["times"][-1]).values
+        density = [float(abs(v) ** 2) for v in f]  # per site: np.abs(f) ** 2 rounds some values differently
+        _write_table(args, args.density_out, ("x", "re_f", "im_f", "density"),
+                     (lattice.positions, f.real, f.imag, density), p)
     return 0
 
 
@@ -358,13 +358,12 @@ def run_entangle(args) -> int:
     psi2 = np.array([p["overlap_b"], np.sqrt(1 - p["overlap_b"] ** 2)])
     state = entangled_pair(phi1, phi2, psi1, psi2)
     coeffs, entropy = schmidt(state)
-    rows = [(f"schmidt_{k + 1}", float(c)) for k, c in enumerate(coeffs)]
-    rows.append(("entropy", float(entropy)))
+    labels = [f"schmidt_{k + 1}" for k in range(len(coeffs))]
+    values = [float(c) for c in coeffs] + [float(entropy)]
     rho_a = reduced_density(state, "A")
-    rows.append(("entropy_reduced_a", entanglement_entropy(rho_a)))
-    rows.append(("entropy_reduced_b", entanglement_entropy(reduced_density(state, "B"))))
-    rows.append(("purity_reduced_a", rho_a.purity))
-    _write_table(args, "entangle.csv", ("label", "value"), rows, p, f"entropy {entropy:.6f}")
+    labels += ["entropy", "entropy_reduced_a", "entropy_reduced_b", "purity_reduced_a"]
+    values += [entanglement_entropy(rho_a), entanglement_entropy(reduced_density(state, "B")), rho_a.purity]
+    _write_table(args, "entangle.csv", ("label", "value"), (labels, values), p, f"entropy {entropy:.6f}")
     return 0
 
 
@@ -383,11 +382,8 @@ def run_measure(args) -> int:
     counts = pointer_outcome_counts(
         sample_outcomes(rho, p["n_samples"], p["seed"]), (len(weights), len(weights))
     )
-    rows = [
-        (lam, int(c), c / p["n_samples"])
-        for lam, c in zip(model.eigenvalues, counts)
-    ]
-    _write_table(args, "measure.csv", ("lambda", "count", "frequency"), rows, p, f"{p['n_samples']} draws",
+    columns = (model.eigenvalues, [int(c) for c in counts], [c / p["n_samples"] for c in counts])
+    _write_table(args, "measure.csv", ("lambda", "count", "frequency"), columns, p, f"{p['n_samples']} draws",
                  decoherence_time=tau)
     return 0
 
@@ -503,10 +499,8 @@ def _check_eq14() -> tuple:
 
 def _check_comment6() -> tuple:
     lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
-    grid = default_spacelike_grid(lattice)
-    with_vals, without_vals = commutator_sweep(lattice, grid)
-    with_max = max(abs(v) for v in with_vals)
-    without_max = max(abs(v) for v in without_vals)
+    with_max, without_max = (float(np.max(np.hypot(z.real, z.imag)))
+                             for z in commutator_sweep(lattice, default_spacelike_grid(lattice)))
     ok = with_max <= 1e-6 and without_max >= 0.05
     return ok, (
         f"spacelike commutator {with_max:.2e} with antiparticles (tol 1e-6) "

@@ -13,7 +13,9 @@ expectations as row sums.  The FFT inputs of a uniform time grid are row
 products of two small phase tables, written in FFT order; other times
 take one half-spectrum phase exponential per sample, bit-identical to
 evolving the samples one at a time.  The tables round differently, by a
-bound that tests/dynamics_oracles.py derives.
+bound that tests/dynamics_oracles.py derives.  A block's FFT input also
+holds each intermediate in turn, so a call holds the tables and about
+four block arrays.
 
 The canonical commutator [X, P] = i cannot hold globally on a periodic
 lattice, so every continuum identity here is asserted on localized
@@ -133,7 +135,8 @@ def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec) -> 
             f"the phase p^2 t / 2m is not finite for times up to {float(np.max(np.abs(times)))!r} "
             f"at mass {lattice.mass!r}"
         )
-    return g * _full_spectrum(phases, lattice)
+    u = _full_spectrum(phases, lattice)
+    return np.multiply(g, u, out=u)  # g · phase, in place
 
 
 def _fft_input(f: WaveAmplitude):
@@ -198,68 +201,92 @@ def _phase_tables(g: np.ndarray, ts: np.ndarray, lattice: LatticeSpec):
     return coarse, fine
 
 
+def _block_rows(n: int, num_sites: int, group: int = 1) -> int:
+    """Sample times per trajectory block: about _BLOCK_ELEMENTS // num_sites, in whole groups of
+    group rows, at least one group and no more groups than n times fill."""
+    return max(1, min((_BLOCK_ELEMENTS // num_sites) // group, -(-n // group))) * group
+
+
+def _block_moments(u: np.ndarray, p: np.ndarray, x: np.ndarray, x2: np.ndarray, scale: float):
+    """⟨X⟩, ⟨X²⟩ and ⟨C⟩ = Re⟨X f, P f⟩ as lists, one entry per row of the (rows × M) FFT inputs
+    u, which this overwrites: f and P f are scale · ifft(u) and scale · ifft(p · u).  Once f is
+    out, u holds p · u in place; then, as two real arrays, |f|² and x·|f|² or x²·|f|²; then x·f.
+    ⟨C⟩ takes one np.vdot per row, because a row sum would add the products in another order."""
+    ft = np.fft.ifft(u, axis=1)
+    ft *= scale
+    pf = np.fft.ifft(np.multiply(p, u, out=u), axis=1)
+    pf *= scale
+    fdens, weighted = u.reshape(-1).view(float).reshape(2, *u.shape)
+    np.square(np.abs(ft, out=fdens), out=fdens)
+    mean_x = np.sum(np.multiply(x, fdens, out=weighted), axis=1).tolist()
+    mean_x2 = np.sum(np.multiply(x2, fdens, out=weighted), axis=1).tolist()
+    xf = np.multiply(x, ft, out=u)
+    return mean_x, mean_x2, [float(np.real(np.vdot(a, b))) for a, b in zip(xf, pf)]
+
+
 def trajectory(f0: WaveAmplitude, times):
     """Observable records along the exact evolution on f0's own lattice, one per sample time.
 
-    Blocks of rows = max(1, _BLOCK_ELEMENTS // M) sample times go through
-    one inverse FFT for f and one for P f, with the expectations as row
-    sums.  On a uniform grid (_uniform_step) each block's FFT input is one
-    row product of the two _phase_tables; any other times, and tables over
-    their budget, take one half-spectrum exp per sample, whose f and P f
-    are bit-identical to evolving each sample alone.  The table phases
-    differ from those by a few ε·|p² t / 2m| per mode, and
+    Blocks of sample times go through one inverse FFT for f and one for
+    P f, with the expectations as row sums.  On a uniform grid
+    (_uniform_step) a block is whole coarse rows of the two _phase_tables,
+    rows = max(1, (_BLOCK_ELEMENTS // M) // B)·B times at most, and its
+    FFT input is one broadcast product of the tables; any other times, and
+    tables over their budget, go in blocks of max(1, _BLOCK_ELEMENTS // M)
+    times and take one half-spectrum exp per sample, whose f and P f are
+    bit-identical to evolving each sample alone.  The table phases differ
+    from those by a few ε·|p² t / 2m| per mode, and
     tests/dynamics_oracles.py derives the bound this puts on every record
-    field.  |phase| = 1 leaves |g|² unchanged, so ⟨P⟩, ⟨H⟩ and ΔP come once
-    from |g₀|² and are the same in every record.
+    field.  |phase| = 1 leaves |g|² unchanged, so ⟨P⟩, ⟨H⟩ and ΔP come
+    once from |g₀|² and are the same in every record.
 
-    Memory: the tables (at most _TABLE_ELEMENTS complex values) and at
-    most ten arrays of a block's rows × M complex values.
+    Memory: the tables (at most _TABLE_ELEMENTS complex values), four
+    arrays of a block's rows × M complex values and four of M.  A block
+    holds its FFT input, which _block_moments reuses for every
+    intermediate, and the two FFT outputs; on the table path the FFT
+    input is one buffer that serves every block of the call.
 
     Raises SeamError naming the first sample time at which the packet
     center comes within 8 measured widths of the periodic boundary.
-    ⟨C⟩ = Re⟨X f, P f⟩ takes one np.vdot per sample, because a row sum
-    would add the products in another order.
     """
     lattice = f0.lattice
+    M = lattice.num_sites
     g, p = _fft_input(f0)
     x = lattice.positions
+    x2 = x**2
     half = lattice.length / 2
-    scale = np.sqrt(lattice.num_sites)
     w = np.abs(g) ** 2
     mean_p = float(np.sum(p * w))
     mean_p2 = float(np.sum(p**2 * w))
+    del w
     dp = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
     ts = np.asarray(list(times), dtype=float)
     tables = _phase_tables(g, ts, lattice)
-    rows = max(1, _BLOCK_ELEMENTS // lattice.num_sites)
+    B = 1 if tables is None else len(tables[1])
+    rows = _block_rows(len(ts), M, B)
+    if tables is not None:
+        coarse, fine = tables
+        product = np.empty((rows // B, B, M), dtype=complex)
     records = []
     for lo in range(0, len(ts), rows):
         block = ts[lo:lo + rows]
         if tables is None:
             u = _evolved_momenta(g, block, lattice)
         else:
-            coarse, fine = tables
-            a, b = np.divmod(np.arange(lo, lo + len(block)), len(fine))
-            u = coarse[a]
-            u *= fine[b]
-        pf = np.fft.ifft(p * u, axis=1)
-        pf *= scale
-        ft = np.fft.ifft(u, axis=1)
-        del u  # one block array fewer at the peak
-        ft *= scale
-        fdens = np.abs(ft) ** 2
-        mean_x = np.sum(x * fdens, axis=1).tolist()
-        mean_x2 = np.sum(x**2 * fdens, axis=1).tolist()
-        xf = x * ft
-        for i, t in enumerate(block.tolist()):
+            filled = product[:-(-len(block) // B)]  # the coarse rows this block's times start
+            np.multiply(coarse[lo // B:lo // B + len(filled), None, :], fine[None, :, :], out=filled)
+            u = filled.reshape(-1, M)[:len(block)]
+        moments = _block_moments(u, p, x, x2, np.sqrt(M))
+        del u  # a per-sample u is not held while the next is computed
+        for t, mean_x, mean_x2, mean_c in zip(block.tolist(), *moments):
             rec = TrajectoryRecord(
                 t=t,
-                mean_x=mean_x[i],
+                mean_x=mean_x,
                 mean_p=mean_p,
-                mean_x2=mean_x2[i],
-                mean_c=float(np.real(np.vdot(xf[i], pf[i]))),
+                mean_x2=mean_x2,
+                mean_c=mean_c,
                 mean_h=mean_p2 / (2 * lattice.mass),
-                dx=float(np.sqrt(max(mean_x2[i] - mean_x[i] ** 2, 0.0))),
+                dx=float(np.sqrt(max(mean_x2 - mean_x**2, 0.0))),
                 dp=dp,
             )
             if half - abs(rec.mean_x) < 8 * rec.dx:
@@ -272,7 +299,8 @@ def ehrenfest_residuals(f0: WaveAmplitude, times) -> EhrenfestReport:
     """Central-difference check of d⟨X²⟩/dt = (2/m)⟨C⟩ and d⟨C⟩/dt = 2⟨H⟩
     along the trajectory of f0, with m its lattice's mass.
 
-    Needs at least three uniformly spaced times.  Residuals are maxima
+    Needs at least three uniformly spaced times: every step within
+    1e-9·h of the first step h.  Residuals are maxima
     over interior points, relative to the peak magnitude of the target
     side, so a zero crossing of ⟨C⟩ does not blow up the report.  Raises
     ValueError, before any evolution, for a mass that is not positive and
@@ -289,7 +317,7 @@ def ehrenfest_residuals(f0: WaveAmplitude, times) -> EhrenfestReport:
     with np.errstate(invalid="ignore"):  # a time that is not finite makes a nan step, which fails below
         steps = np.diff(ts)
         h = steps[0]
-        uniform = h > 0 and np.max(np.abs(steps - h)) <= 1e-9 * max(abs(h), 1.0)
+        uniform = h > 0 and np.max(np.abs(steps - h)) <= 1e-9 * h  # relative, so tiny steps are checked too
     if not uniform:  # written so that nan fails
         raise ValueError("times must be finite, increasing and uniformly spaced")
     records = trajectory(f0, ts)

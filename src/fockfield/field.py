@@ -337,38 +337,36 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
     commutator_sweep, so it raises ValueError where the phase is not finite.
     """
     with_anti, without = commutator_sweep(lattice, [(dt, dx)])
-    return with_anti[0] if include_antiparticles else without[0]
+    return complex((with_anti if include_antiparticles else without)[0])
 
 
-def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0):
-    """Sample points (dt, dx) with |dx| > |dt|, on multiples of Δx up to MΔx/4.
+def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0) -> np.ndarray:
+    """Sample points (dt, dx) with |dx| > |dt|, on multiples of Δx up to MΔx/4,
+    as an (n, 2) float array with one (dt, dx) row per point.
 
     Two families: the equal-time axis dt = 0 (where the cancellation is
-    an exact lattice symmetry) and the wedge dx ≥ dt + cone_margin.  The
-    margin keeps samples clear of the lattice-smeared light cone, whose
-    crossover region is a few Compton wavelengths wide.  Points within
-    1e-12 of the cone itself are left out at any margin: the two arange
-    grids can differ by an ulp where dt == dx.
+    an exact lattice symmetry) and the wedge dx ≥ dt + cone_margin, in
+    order of dt and then dx.  The margin keeps samples clear of the
+    lattice-smeared light cone, whose crossover region is a few Compton
+    wavelengths wide.  Points within 1e-12 of the cone itself are left
+    out at any margin: the two arange grids can differ by an ulp where
+    dt == dx.
     """
     extent = lattice.length / 4.0
     step = lattice.spacing
     dts = np.arange(0.0, extent + step / 2, step)
     dxs = np.arange(step, extent + step / 2, step)
-    pairs = [(0.0, float(dx)) for dx in dxs]
-    pairs += [
-        (float(dt), float(dx))
-        for dt in dts[1:]
-        for dx in dxs
-        if dx >= dt + cone_margin - 1e-12 and dx - dt > 1e-12
-    ]
-    return pairs
+    dt, dx = np.meshgrid(dts[1:], dxs, indexing="ij")
+    wedge = (dx >= dt + cone_margin - 1e-12) & (dx - dt > 1e-12)
+    return np.concatenate([np.column_stack([np.zeros_like(dxs), dxs]), np.column_stack([dt[wedge], dx[wedge]])])
 
 
 def commutator_sweep(lattice: LatticeSpec, pairs):
     """The pauli_jordan mode sums over (dt, dx) pairs, with and without antiparticles.
 
-    Returns two lists of complex, ``(with_antiparticles, without)``, each
-    with one value per pair in input order.  The mode sum factors as
+    pairs is a sequence of (dt, dx) pairs or an (n, 2) float array.  Returns
+    two 1-D complex arrays, ``(with_antiparticles, without)``, each with one
+    value per pair in input order.  The mode sum factors as
     S = (1/M) Σ_k e^{ip_k·dx} · e^{−iω_k·dt}/2ω_k, so one table A holds
     e^{ip·dx} for each distinct dx and one table B holds e^{−iω·dt}/2ω for
     each distinct dt: one complex exp per distinct value and mode.  For
@@ -412,4 +410,4 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     without = s[inverse] / lattice.num_sites
     with_anti = np.zeros(len(without), dtype=complex)  # 1j * x would give -0.0 real parts where x < 0
     with_anti.imag = 2.0 * without.imag
-    return with_anti.tolist(), without.tolist()
+    return with_anti, without

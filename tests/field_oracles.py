@@ -5,7 +5,9 @@
 e^{i(p·dx − ω·dt)}.  ``fockfield.field.commutator_sweep`` evaluates the
 same sum as a product of two phase tables, e^{ip·dx} · e^{−iω·dt}, so the
 two round differently; the sweep must equal the oracle within
-``sweep_rounding_bound``.
+``sweep_rounding_bound``.  ``default_spacelike_grid_pairs`` is the
+default grid as a list of (dt, dx) tuples, built one pair at a time; the
+library builds the same points as an (n, 2) array.
 """
 
 import functools
@@ -52,3 +54,19 @@ def sweep_rounding_bound(lattice: LatticeSpec, dt: float, dx: float) -> float:
     w, p = _modes(lattice)
     phase = np.abs(p * dx) + np.abs(w * dt)
     return float(np.finfo(float).eps * np.sum((2.0 * phase + len(w) + 16) / (2.0 * w)) / lattice.num_sites)
+
+
+def default_spacelike_grid_pairs(lattice: LatticeSpec, cone_margin: float = 3.0):
+    """The equal-time axis (0, dx), then the wedge dx >= dt + cone_margin off the cone, as tuples."""
+    extent = lattice.length / 4.0
+    step = lattice.spacing
+    dts = np.arange(0.0, extent + step / 2, step)
+    dxs = np.arange(step, extent + step / 2, step)
+    pairs = [(0.0, float(dx)) for dx in dxs]
+    pairs += [
+        (float(dt), float(dx))
+        for dt in dts[1:]
+        for dx in dxs
+        if dx >= dt + cone_margin - 1e-12 and dx - dt > 1e-12
+    ]
+    return pairs

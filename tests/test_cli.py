@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fockfield import __version__, cli, fock
+from fockfield import __version__, artifacts, cli, fock
 from fockfield.cli import MAX_PAIRS, MAX_SWEEP_VALUES, PARAMETERS, SCENARIOS, build_parser, main
 from fockfield.field import Dispersion, LatticeSpec, commutator_sweep, default_spacelike_grid
 from fockfield.fock import ModeSpace, Statistics
@@ -167,6 +168,27 @@ def test_causality_csv_matches_per_pair_pauli_jordan(tmp_path):
         bound = sweep_rounding_bound(lattice, dt, dx)
         assert abs(w - pauli_jordan_per_pair(lattice, dt, dx, True)) <= 2 * bound
         assert abs(wo - pauli_jordan_per_pair(lattice, dt, dx, False)) <= bound
+
+
+def test_causality_memory_stays_within_its_tables_and_one_chunk_of_text(tmp_path, capsys):
+    # 256 x 256 pairs at M = 512: the sweep's two tables hold 16 (256 + 256) 512 bytes (4.2 MB), and
+    # building one of them, or one dt's gathered rows, needs at most as much again.  Every pair
+    # then takes at most 128 bytes in the sweep's index and value arrays and the eight columns, and
+    # one chunk of text about 1 KB per row in Python floats, row strings and the joined chunk.  The
+    # whole text of the table (12.5 MB, and more as a list of lines) would not fit.
+    values = [str(0.25 * k) for k in range(256)]
+    argv = ["causality", "--out-dir", str(tmp_path),
+            "--dts", ",".join(values), "--separations", ",".join(values[1:] + ["64"])]
+    assert run(argv[:3] + ["--M", "16"]) == 0  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.endswith("(65536 points)\n")
+    tables = 16 * (256 + 256) * 512
+    assert peak <= 2 * tables + 128 * 256**2 + 1024 * artifacts._CHUNK_ROWS
 
 
 def test_causality_zero_cone_margin_leaves_out_the_light_cone(tmp_path):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 import tracemalloc
 
@@ -227,6 +228,22 @@ def test_ehrenfest_rejects_times_that_are_not_finite_increasing_and_uniform(time
     monkeypatch.setattr(dynamics, "trajectory", None)  # the check runs before any evolution
     with pytest.raises(ValueError, match="^times must be finite, increasing and uniformly spaced$"):
         ehrenfest_residuals(gaussian_packet(LAT, 0.0, 0.0, 8.0), times)
+
+
+def test_ehrenfest_takes_steps_as_uniform_relative_to_the_step():
+    # an absolute 1e-9 once passed the steps 1e-12 and 4.99e-10 as uniform, and the central
+    # differences then divided by the wrong spacing (residuals of 249 on this packet)
+    lattice, kw = VERIFY_PACKET
+    packet = gaussian_packet(lattice, **kw)
+    report = ehrenfest_residuals(packet, [0.0, 1e-3, 2e-3])
+    assert report.width_residual < 1e-9 and report.correlation_residual < 1e-9
+    tiny = ehrenfest_residuals(packet, np.arange(3) * 1e-12)  # uniform at any scale; rounding limits it
+    assert np.isfinite([tiny.width_residual, tiny.correlation_residual]).all()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "trajectory", None)  # the check runs before any evolution
+        for times in ([0.0, 1e-12, 5e-10], [0.0, 1e-12, 2e-12 + 1e-20], [0.0, 1.0, 2.0 + 3e-9]):
+            with pytest.raises(ValueError, match="^times must be finite, increasing and uniformly spaced$"):
+                ehrenfest_residuals(packet, times)
 
 
 def test_ehrenfest_rejects_a_mass_without_a_finite_positive_inverse():
@@ -469,13 +486,15 @@ def test_momentum_columns_are_exactly_constant_along_a_trajectory(times):
 
 @pytest.mark.parametrize("M, n, step, sigma0, seam", [
     (1 << 16, 2000, 1e4, 2.0, "t=20000"),  # tables over their budget; the seam stops it at the third sample
+    (1 << 16, 3, 1e4, 2.0, "t=20000"),  # tables at their budget, in blocks of B = 2 rows
     (4096, 501, 0.1, 40.0, None),  # the benchmark's heavy wavepacket, through the tables
 ])
-def test_trajectory_memory_stays_within_the_tables_and_ten_block_arrays(M, n, step, sigma0, seam):
-    # the budget trajectory's docstring states: the tables and ten arrays of rows x M complex values.
-    # Any tables are built before the first block, so stopping at the seam still measures them.
+def test_trajectory_memory_stays_within_the_tables_and_four_block_arrays(M, n, step, sigma0, seam, monkeypatch):
+    # the budget trajectory's docstring states: the tables, four arrays of a block's rows x M complex
+    # values and four of M.  Any tables are built before the first block, so stopping at the seam
+    # still measures them.
     packet = gaussian_packet(LatticeSpec(M, 1.0, 1.0), 0.0, 0.0, sigma0)
-    rows = max(1, dynamics._BLOCK_ELEMENTS // M)
+    taken = paths_taken(monkeypatch)
     tracemalloc.start()
     try:
         if seam:
@@ -486,7 +505,8 @@ def test_trajectory_memory_stays_within_the_tables_and_ten_block_arrays(M, n, st
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (dynamics._TABLE_ELEMENTS + 10 * rows * M)
+    rows = dynamics._block_rows(n, M, math.isqrt(n - 1) + 1 if taken == ["tables"] else 1)
+    assert peak <= 16 * (dynamics._TABLE_ELEMENTS + (4 * rows + 4) * M)
 
 
 @pytest.mark.parametrize("M", [64, 256, 4096])

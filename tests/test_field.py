@@ -39,7 +39,7 @@ from fockfield.fock import (
     vacuum,
 )
 from fockfield.wick import evaluate, parse, vacuum_expectation
-from field_oracles import pauli_jordan_per_pair, sweep_rounding_bound
+from field_oracles import default_spacelike_grid_pairs, pauli_jordan_per_pair, sweep_rounding_bound
 from fock_oracles import identity_resolution_residual
 
 LAT8 = LatticeSpec(8, 1.0, 1.0)
@@ -535,6 +535,39 @@ def test_commutator_sweep_on_scattered_pairs_matches_the_per_pair_oracle():
     lattice = LatticeSpec(600, 0.01, 0.0, Dispersion.RELATIVISTIC)
     rng = np.random.default_rng(25)
     assert_sweep_within_rounding_bound(lattice, [tuple(pair) for pair in rng.uniform(-50.0, 50.0, size=(2000, 2)).tolist()])
+
+
+@pytest.mark.parametrize("M, spacing, margin", [
+    (512, 0.25, 3.0), (64, 0.25, 0.0), (64, 0.25, 1.0), (128, 0.3, 2.5), (66, 1.0, 0.5), (4, 1.0, 3.0),
+    (2, 1.0, 3.0), (64, 0.25, 1e9),
+])
+def test_default_spacelike_grid_equals_the_pair_by_pair_oracle(M, spacing, margin):
+    # the same points in the same order, bit for bit, as an (n, 2) float array
+    lattice = LatticeSpec(M, spacing, 1.0, Dispersion.RELATIVISTIC)
+    grid = default_spacelike_grid(lattice, cone_margin=margin)
+    pairs = default_spacelike_grid_pairs(lattice, cone_margin=margin)
+    assert isinstance(grid, np.ndarray) and grid.dtype == float and grid.shape == (len(pairs), 2)
+    assert grid.tobytes() == np.array(pairs, dtype=float).reshape(len(pairs), 2).tobytes()
+
+
+@pytest.mark.parametrize("pairs", [
+    [], [(0.5, 3.0)], [(0.0, 1.0), (-0.0, 1.0), (2.0, -0.5), (0.0, 1.0)],
+    default_spacelike_grid_pairs(LatticeSpec(64, 0.25, 1.0)),
+])
+def test_commutator_sweep_gives_the_same_arrays_on_pairs_and_on_an_array(pairs):
+    lattice = LatticeSpec(64, 0.25, 1.0, Dispersion.RELATIVISTIC)
+    from_list = commutator_sweep(lattice, pairs)
+    from_array = commutator_sweep(lattice, np.array(pairs, dtype=float).reshape(len(pairs), 2))
+    for got, want in zip(from_list, from_array):
+        assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == (len(pairs),)
+        assert bits(got) == bits(want)
+
+
+def test_pauli_jordan_returns_a_python_complex():
+    for include in (True, False):
+        value = pauli_jordan(REL512, 0.5, 3.0, include)
+        assert type(value) is complex  # np.complex128 is a complex subclass; this is the plain type
+        assert bits([value]) == bits([commutator_sweep(REL512, [(0.5, 3.0)])[0 if include else 1][0]])
 
 
 def test_commutator_sweep_calls_no_blas():
