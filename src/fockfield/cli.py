@@ -268,8 +268,11 @@ def run_wick(args) -> int:
     if args.expr is not None:
         text = args.expr
     elif args.file is not None:
-        with open(args.file) as handle:
-            text = handle.read().strip()
+        try:
+            with open(args.file) as handle:
+                text = handle.read().strip()
+        except (OSError, UnicodeError) as err:
+            raise ValueError("file: " + " ".join(str(err).split())) from None
     else:
         raise ValueError("wick needs --expr or --file")
     path = None if args.out is None else _file_path(args, args.out, "out")

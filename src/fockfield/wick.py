@@ -3,17 +3,27 @@
 Expressions are sequences of abstract creation/annihilation symbols over
 free labels (x, x', p1, ...).  Normal ordering is one left-to-right pass
 over the symbols (Wick's theorem) that keeps what it has read as merged
-normal-ordered states: (sorted creator labels, sorted annihilator labels,
-sorted delta pairs) → integer coefficient.  An annihilator joins its
-block.  A creator contracts with each pending annihilator by
+normal-ordered states, grouped by operator block: (sorted creator labels,
+sorted annihilator labels) → {sorted delta pairs → integer coefficient}.
+An annihilator joins its block.  A creator contracts with each pending
+annihilator by
 
     a(α) a+(β) = δ_{αβ} ± a+(β) a(α)     (+ bosons, − fermions),
 
 and also joins its block.  A fermion pays the parity of the symbols it
-passes; a repeated fermion label is zero.  The vacuum expectation runs
-the same pass, contracting every creator, and keeps the states with no
-annihilator left.  More than MAX_TERMS live states raise ValueError.
-Deltas stay symbolic until an index assignment is supplied.
+passes; a repeated fermion label is zero.  The new block and the sign of
+a contraction or a move depend on the block alone, so they are found
+once per block, and each state of the block then only inserts its delta.
+A moving block no other block has reached moves whole: always for an
+annihilator, where no two blocks meet, and for a creator unless a
+contraction got to its target first.  The vacuum expectation runs the
+same pass, contracting every creator, and keeps the block with no
+operator left.
+
+A symbol's step raises ValueError when it ends with more than MAX_TERMS
+live states.  The count is checked as the step adds states, so the
+step's memory stays bounded while it runs.  Deltas stay symbolic until
+an index assignment is supplied.
 
 Grammar (parse/format round-trip):
 
@@ -30,12 +40,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from .fock import Statistics
+from .fock import _FERMI, Statistics
 
 
 class LadderKind(Enum):
     CREATE = "a+"
     ANNIHILATE = "a"
+
+
+# Read on every symbol: as for fock._FERMI, a module global costs about
+# 20 ns, the class attribute LadderKind.CREATE about 170 ns.
+_CREATE = LadderKind.CREATE
 
 
 @dataclass(frozen=True)
@@ -155,38 +170,78 @@ def parse(text: str) -> OperatorString:
 MAX_TERMS = 100_000
 
 
+def _over_the_limit() -> ValueError:
+    return ValueError(f"expression has more than {MAX_TERMS} terms")
+
+
 def _contract(s: OperatorString, vacuum: bool) -> dict:
-    """The contraction pass: {(creator labels, annihilator labels, deltas): coefficient}."""
-    fermi = s.statistics is Statistics.FERMI
-    swap = -1 if fermi else 1
-    states = {((), (), ()): 1}
+    """The contraction pass: {(creator labels, annihilator labels): {deltas: coefficient}}."""
+    fermi = s.statistics is _FERMI
+    states = {((), ()): {(): 1}}
     for sym in s.symbols:
-        label, create = sym.label, sym.kind is LadderKind.CREATE
+        label = sym.label
         new: dict = {}
-        for (cre, ann, deltas), coeff in states.items():
-            if create:
+        live = 0
+        if sym.kind is not _CREATE:
+            # an annihilator joins its block, passing the larger labels; no two blocks meet
+            for (cre, ann), block in states.items():
+                i = bisect_right(ann, label)
+                if fermi and i and ann[i - 1] == label:
+                    continue  # a repeated fermion is the zero operator
+                if fermi and (len(ann) - i) & 1:
+                    for deltas, coeff in block.items():
+                        block[deltas] = -coeff
+                new[cre, ann[:i] + (label,) + ann[i:]] = block
+                live += len(block)
+            if live > MAX_TERMS:
+                raise _over_the_limit()
+        else:
+            for (cre, ann), block in states.items():
+                last = len(ann) - 1
                 for j, other in enumerate(ann):  # contract with ann[j] after passing ann[j+1:]
-                    d = deltas
-                    if other != label:  # δ(x, x) = 1, and δ² = δ
+                    key = (cre, ann[:j] + ann[j + 1:])
+                    target = new.get(key)
+                    if target is None:
+                        target = new[key] = {}
+                        before = 0
+                    else:
+                        before = len(target)
+                    sign = -1 if fermi and (last - j) & 1 else 1
+                    if other == label:  # δ(x, x) = 1
+                        for deltas, coeff in block.items():
+                            target[deltas] = target.get(deltas, 0) + sign * coeff
+                    else:
                         pair = (other, label) if other < label else (label, other)
-                        i = bisect_left(deltas, pair)
-                        if deltas[i:i + 1] != (pair,):
-                            d = deltas[:i] + (pair,) + deltas[i:]
-                    key = (cre, ann[:j] + ann[j + 1:], d)
-                    new[key] = new.get(key, 0) + coeff * swap ** (len(ann) - 1 - j)
-                if len(new) > MAX_TERMS:
-                    raise ValueError(f"expression has more than {MAX_TERMS} terms")
+                        for deltas, coeff in block.items():
+                            i = bisect_left(deltas, pair)
+                            if deltas[i:i + 1] != (pair,):  # δ² = δ
+                                deltas = deltas[:i] + (pair,) + deltas[i:]
+                            target[deltas] = target.get(deltas, 0) + sign * coeff
+                    live += len(target) - before
+                    if live > MAX_TERMS:
+                        raise _over_the_limit()
                 if vacuum:
                     continue
-            # move into its block: a creator passes every annihilator, then the larger labels
-            block = cre if create else ann
-            i = bisect_right(block, label)
-            if fermi and i and block[i - 1] == label:
-                continue  # a repeated fermion is the zero operator
-            passed = len(block) - i + (len(ann) if create else 0)
-            block = block[:i] + (label,) + block[i:]
-            key = (block, ann, deltas) if create else (cre, block, deltas)
-            new[key] = new.get(key, 0) + coeff * swap ** passed
+                # the creator joins its block, passing every annihilator and then the larger labels
+                i = bisect_right(cre, label)
+                if fermi and i and cre[i - 1] == label:
+                    continue
+                key = (cre[:i] + (label,) + cre[i:], ann)
+                sign = -1 if fermi and (len(cre) - i + len(ann)) & 1 else 1
+                target = new.get(key)
+                if target is None:  # nothing reads this block again, so it moves whole
+                    if sign < 0:
+                        for deltas, coeff in block.items():
+                            block[deltas] = -coeff
+                    new[key] = block
+                    live += len(block)
+                else:
+                    before = len(target)
+                    for deltas, coeff in block.items():
+                        target[deltas] = target.get(deltas, 0) + sign * coeff
+                    live += len(target) - before
+                if live > MAX_TERMS:
+                    raise _over_the_limit()
         states = new
     return states
 
@@ -199,15 +254,22 @@ def normal_order(s: OperatorString) -> NormalForm:
     fermionic sign) and the term list is ordered canonically, so equal
     inputs print identically.
     """
-    creators = {sym.label: sym for sym in s.symbols if sym.kind is LadderKind.CREATE}
-    annihilators = {sym.label: sym for sym in s.symbols if sym.kind is LadderKind.ANNIHILATE}
-    # A state key orders as ((kind, label) of each operator, deltas) would:
-    # a shorter block sorts first, as "a" < "a+".
-    terms = (
-        NormalTerm(coeff, deltas, tuple(map(creators.__getitem__, cre)) + tuple(map(annihilators.__getitem__, ann)))
-        for (cre, ann, deltas), coeff in sorted(_contract(s, vacuum=False).items())
-        if coeff
-    )
+    states = _contract(s, vacuum=False)
+    creators, annihilators = {}, {}
+    for sym in s.symbols:
+        (creators if sym.kind is _CREATE else annihilators)[sym.label] = sym
+    creator, annihilator = creators.__getitem__, annihilators.__getitem__
+    # Terms order as ((kind, label) of each operator, deltas) would: a shorter
+    # block sorts first, as "a" < "a+".  Sorting the blocks, then each block's
+    # deltas, is the order of the flat (cre, ann, deltas) keys.
+    terms = []
+    for (cre, ann), block in sorted(states.items()):
+        if not any(block.values()):
+            continue  # every state of the block cancelled
+        operators = (*map(creator, cre), *map(annihilator, ann))
+        for deltas, coeff in sorted(block.items()):
+            if coeff:
+                terms.append(NormalTerm(coeff, deltas, operators))
     return NormalForm(tuple(terms), s.statistics)
 
 
@@ -218,10 +280,8 @@ def vacuum_expectation(s: OperatorString) -> DeltaPolynomial:
     vacuum (or creator acting leftward on it) kills the term, so the
     expectation is the sum of coefficients of operator-free terms.
     """
-    found = sorted(
-        (deltas, coeff) for (_, ann, deltas), coeff in _contract(s, vacuum=True).items() if coeff and not ann
-    )
-    return DeltaPolynomial(tuple((coeff, deltas) for deltas, coeff in found))
+    found = sorted(_contract(s, vacuum=True).get(((), ()), {}).items())
+    return DeltaPolynomial(tuple((coeff, deltas) for deltas, coeff in found if coeff))
 
 
 def evaluate(dp: DeltaPolynomial, assignment) -> int:

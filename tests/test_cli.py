@@ -73,6 +73,25 @@ def test_wick_from_file_and_artifact(tmp_path, capsys):
     assert (tmp_path / "wick.meta.json").exists()
 
 
+@pytest.mark.parametrize("content, reason", [
+    (False, "No such file or directory"),
+    (None, "Is a directory"),
+    (b"bose: a(x) a+(\xff)\n", "can't decode byte 0xff"),
+], ids=["missing", "directory", "undecodable"])
+def test_unreadable_wick_file_exits_2_with_one_file_line(tmp_path, capsys, content, reason):
+    expr = tmp_path / "expr.txt"
+    if content is None:
+        expr.mkdir()
+    elif content:
+        expr.write_bytes(content)
+    assert run(["wick", "--file", str(expr), "--out-dir", str(tmp_path / "out"), "--out", "wick.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: file: ") and captured.err.count("\n") == 1
+    assert reason in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_wick_beyond_the_term_limit_exits_2(tmp_path, capsys):
     expr = "bose: " + " ".join(f"a(x{i})" for i in range(1, 13)) + " " + " ".join(f"a+(y{i})" for i in range(1, 13))
     assert run(["wick", "--expr", expr, "--out-dir", str(tmp_path), "--out", "wick.txt"]) == 2
@@ -1076,6 +1095,25 @@ def private_imports_from_siblings(path):
 def test_cli_imports_no_private_name_from_a_sibling_module():
     # the CLI runs on the library's public API alone
     assert private_imports_from_siblings(SRC / "fockfield" / "cli.py") == []
+
+
+def imported_modules(path):
+    """Top-level names of the modules a source file imports, relative imports left out."""
+    tree = ast.parse(pathlib.Path(path).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_library_module_imports_gc():
+    # switching the collector off acts on the whole process; library code cuts allocations instead
+    modules = sorted((SRC / "fockfield").rglob("*.py"))
+    assert modules
+    assert [path.name for path in modules if "gc" in imported_modules(path)] == []
 
 
 def test_import_loads_only_numpy_and_fockfield_beyond_the_standard_library_and_builds_no_parser():

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fockfield.fock import (
     inner,
     vacuum,
 )
+from fockfield import wick
 from fockfield.wick import (
     DeltaPolynomial,
     LadderKind,
@@ -29,6 +31,7 @@ from fockfield.wick import (
     parse,
     vacuum_expectation,
 )
+from wick_oracles import contract, contract_steps, flatten
 from wick_rewrite import rewrite_normal_order, rewrite_vacuum_expectation
 
 
@@ -264,6 +267,75 @@ def test_property_contraction_pass_equals_rewrite_oracle(s):
     dp, expected_dp = vacuum_expectation(s), rewrite_vacuum_expectation(s)
     assert dp == expected_dp
     assert str(dp) == str(expected_dp)
+
+
+# ----------------------------------------------------------------------
+# the pass grouped by operator block against the per-state pass it replaced
+
+
+@st.composite
+def distinct_label_strings(draw):
+    # every label once, so no delta collapses and every contraction survives
+    n = draw(st.integers(min_value=0, max_value=10))
+    kinds = draw(st.lists(st.sampled_from(list(LadderKind)), min_size=n, max_size=n))
+    labels = draw(st.permutations([f"q{i}" for i in range(n)]))
+    return OperatorString(tuple(map(LadderSymbol, kinds, labels)), draw(st.sampled_from(list(Statistics))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(oracle_strings(), distinct_label_strings()))
+def test_property_grouped_pass_equals_per_state_oracle(s):
+    for vacuum in (False, True):
+        assert flatten(wick._contract(s, vacuum)) == contract(s, vacuum)
+
+
+def test_grouped_pass_keeps_a_cancelled_state_as_the_oracle_does():
+    # a(x) a+(x) a+(x) = a+(x) - a+(x) a(x) a+(x) ..., and the a+(x) states cancel
+    s = parse("fermi: a(x) a+(x) a+(x)")
+    states = flatten(wick._contract(s, vacuum=False))
+    assert states[("x",), (), ()] == 0
+    assert states == contract(s, vacuum=False)
+    assert str(normal_order(s)) == "0"
+
+
+def step_counts(s, vacuum):
+    """The live states after each symbol's step of the per-state oracle."""
+    return [len(states) for states in contract_steps(s, vacuum)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(oracle_strings(), distinct_label_strings()))
+def test_property_max_terms_raises_exactly_when_a_step_ends_above_it(s):
+    for vacuum in (False, True):
+        counts = step_counts(s, vacuum)
+        peak = max(counts, default=0)
+        for limit in sorted({max(c + d, 0) for c in counts for d in (-1, 0, 1)}):
+            with mock.patch.object(wick, "MAX_TERMS", limit):
+                if peak > limit:
+                    with pytest.raises(ValueError, match=rf"^expression has more than {limit} terms$"):
+                        wick._contract(s, vacuum)
+                else:
+                    wick._contract(s, vacuum)
+            # the per-state rule left out a step's last move-in: it can pass only at the exact limit
+            try:
+                for _ in contract_steps(s, vacuum, max_terms=limit):
+                    pass
+            except ValueError:
+                assert peak > limit
+            else:
+                assert peak <= limit + 1
+
+
+def test_a_step_ending_one_state_above_the_limit_raises_where_the_per_state_rule_passed():
+    # a(x) a+(y): the last step ends with d(x,y) and a+(y) a(x), two states
+    s = parse("bose: a(x) a+(y)")
+    assert step_counts(s, vacuum=False) == [1, 2]
+    for _ in contract_steps(s, vacuum=False, max_terms=1):
+        pass
+    with mock.patch.object(wick, "MAX_TERMS", 1):
+        with pytest.raises(ValueError, match="more than 1 terms"):
+            normal_order(s)
+        assert vacuum_expectation(s) == DeltaPolynomial(((1, (("x", "y"),)),))
 
 
 def test_normal_form_text_does_not_depend_on_the_hash_seed():
