@@ -7,13 +7,15 @@ then spreads forever.  Evolution is exact spectral phase multiplication
 exp(−i p² t / 2m) in momentum space, which removes any integrator error
 from tests of those identities.
 
-`trajectory` evolves blocks of sample times as one (times × sites)
-array: one inverse FFT along the rows for f and one for P f, and the
-expectations as row sums.  The FFT inputs of a uniform time grid are row
-products of two small phase tables, written in FFT order; other times
-take one half-spectrum phase exponential per sample, bit-identical to
-evolving the samples one at a time.  The tables round differently, by a
-bound that tests/dynamics_oracles.py derives.  A block's FFT input also
+Momentum amplitudes stay in np.fft order: a packet's is its FFT over √M,
+so field's reorder and origin signs exp(iπk), which commute with a phase,
+are never applied and undone.  `trajectory` evolves blocks of sample
+times as one (times × sites) array: one inverse FFT along the rows for f
+and one for P f, and the expectations as row sums.  The FFT inputs of a
+uniform time grid are row products of two small phase tables; other
+times take one half-spectrum phase exponential per sample, bit-identical
+to evolving the samples one at a time.  The tables round differently, by
+a bound that tests/dynamics_oracles.py derives.  A block's FFT input also
 holds each intermediate in turn, so a call holds the tables and about
 four block arrays.
 
@@ -26,11 +28,12 @@ corrections are at Gaussian-tail level.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import LatticeSpec, WaveAmplitude, _fft_order, to_momentum
+from .field import LatticeSpec, WaveAmplitude
 from .fock import _BLOCK_ELEMENTS
 
 # The phase tables of a uniform grid hold at most this many complex values
@@ -100,58 +103,68 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
     return WaveAmplitude(f / np.linalg.norm(f), lattice)
 
 
-def _half_phases(times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """exp(−i p² t / 2m) for |k| = 0 .. M/2, one row per entry of the 1-D float
+def _phases(times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """exp(−i p² t / 2m) in np.fft order, one row per entry of the 1-D float
     array times; nan or inf where the phase is not finite.
 
-    The momenta are exactly sign-symmetric, so p and −p have bit-equal p²,
-    and these M/2 + 1 columns hold every distinct phase of a row.
+    The momenta are exactly sign-symmetric, so p and −p have bit-equal p²:
+    one complex exp per time and |k| = 0 .. M/2, spread over the M slots,
+    where np.fft slot i holds |k| = min(i, M − i).
     """
-    p = lattice.momenta[lattice.num_sites // 2::-1]  # k = 0, −1, .., −M/2
+    M = lattice.num_sites
+    p = lattice.momenta[M // 2::-1]  # k = 0, −1, .., −M/2
     with np.errstate(all="ignore"):  # a phase that is not finite makes its exponential nan, reported by callers
-        return np.exp(-1j * p**2 * times[:, None] / (2 * lattice.mass))
-
-
-def _full_spectrum(half: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """Rows of _half_phases spread over the M FFT slots; FFT slot i holds |k| = min(i, M − i)."""
-    slots = np.arange(lattice.num_sites)
-    return half.take(np.minimum(slots, lattice.num_sites - slots), axis=1)
+        half = np.exp(-1j * p**2 * times[:, None] / (2 * lattice.mass))
+    slots = np.arange(M)
+    return half.take(np.minimum(slots, M - slots), axis=1)
 
 
 def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """FFT inputs g·exp(−i p² t / 2m), one row per entry of the 1-D float
-    array times, with g a momentum amplitude in the FFT input order of
-    field._fft_order, its shift signs applied.  One complex exp per time
-    and distinct |k|.
+    array times, with g a momentum amplitude in np.fft order (_fft_input).
 
     Raises ValueError for a mass that is not positive, or when p² t / 2m
     is not finite for some mode and time, so no evolved value is nan.
     """
     if lattice.mass <= 0:
         raise ValueError("mass must be positive")
-    phases = _half_phases(times, lattice)
-    if not np.isfinite(phases).all():
+    u = _phases(times, lattice)
+    if not np.isfinite(u).all():
         raise ValueError(
             f"the phase p^2 t / 2m is not finite for times up to {float(np.max(np.abs(times)))!r} "
             f"at mass {lattice.mass!r}"
         )
-    u = _full_spectrum(phases, lattice)
     return np.multiply(g, u, out=u)  # g · phase, in place
 
 
 def _fft_input(f: WaveAmplitude):
-    """f's momentum amplitude in FFT input order, its shift signs applied,
-    and the momenta in that order."""
-    order, signs = _fft_order(f.lattice)
-    return to_momentum(f).values.take(order) * signs, f.lattice.momenta.take(order)
+    """f's momentum amplitude in np.fft order and the momenta in that order: to_momentum without
+    its reorder and signs exp(iπk), which commute with a phase, so ifft · √M undoes the rest."""
+    lattice = f.lattice
+    return np.fft.fft(f.values) / np.sqrt(lattice.num_sites), np.fft.ifftshift(lattice.momenta)
+
+
+def _real_times(times, error: str = "times must be a 1-D sequence of real numbers") -> np.ndarray:
+    """times as a 1-D float array.  Raises ValueError(error) where it is not a sequence, or an entry
+    is not a real number: complex (numpy's cast would drop the imaginary part with only a warning),
+    a sequence itself, or text that is not a number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            ts = np.asarray(list(times), dtype=float)
+    except (TypeError, ValueError, np.exceptions.ComplexWarning):
+        ts = None
+    if ts is None or ts.ndim != 1:
+        raise ValueError(error)
+    return ts
 
 
 def evolve(f: WaveAmplitude, t: float) -> WaveAmplitude:
     """Exact free evolution on f's own lattice, by phase multiplication in momentum space.
 
-    Unitary for every t; the momentum distribution is invariant.
+    Unitary for every real t; the momentum distribution is invariant.
     """
-    u = _evolved_momenta(_fft_input(f)[0], np.array([t], dtype=float), f.lattice)[0]
+    u = _evolved_momenta(_fft_input(f)[0], _real_times([t], "t must be a real number"), f.lattice)[0]
     return WaveAmplitude(np.fft.ifft(u) * np.sqrt(f.lattice.num_sites), f.lattice)
 
 
@@ -175,7 +188,7 @@ def _uniform_step(ts: np.ndarray):
 def _phase_tables(g: np.ndarray, ts: np.ndarray, lattice: LatticeSpec):
     """The tables of a uniform grid t_k = t₀ + k·h, with B = ⌈√n⌉ and k = a·B + b:
     coarse rows g·exp(−i q t_{aB}) and fine rows exp(−i q b h), q = p²/2m, both
-    in FFT input order, so the FFT input of sample k is the row product
+    in np.fft order, so the FFT input of sample k is the row product
     coarse[a] · fine[b].  None, for the per-sample phases, when the grid is
     not uniform (_uniform_step), when the tables would hold more than
     _TABLE_ELEMENTS values, or when a table row or the phase at the largest
@@ -192,11 +205,10 @@ def _phase_tables(g: np.ndarray, ts: np.ndarray, lattice: LatticeSpec):
     if (len(coarse_times) + B) * lattice.num_sites > _TABLE_ELEMENTS:
         return None
     fine_times = np.arange(B) * h
-    half = _half_phases(np.concatenate([coarse_times, fine_times, ts[[np.argmax(np.abs(ts))]]]), lattice)
-    if not np.isfinite(half).all():
+    tables = _phases(np.concatenate([coarse_times, fine_times, ts[[np.argmax(np.abs(ts))]]]), lattice)
+    if not np.isfinite(tables).all():
         return None
-    tables = _full_spectrum(half[:-1], lattice)
-    coarse, fine = tables[:len(coarse_times)], tables[len(coarse_times):]
+    coarse, fine = tables[:len(coarse_times)], tables[len(coarse_times):-1]
     coarse *= g  # in place, in one array with the fine rows
     return coarse, fine
 
@@ -260,7 +272,7 @@ def trajectory(f0: WaveAmplitude, times):
     mean_p2 = float(np.sum(p**2 * w))
     del w
     dp = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
-    ts = np.asarray(list(times), dtype=float)
+    ts = _real_times(times)
     tables = _phase_tables(g, ts, lattice)
     B = 1 if tables is None else len(tables[1])
     rows = _block_rows(len(ts), M, B)
@@ -311,7 +323,7 @@ def ehrenfest_residuals(f0: WaveAmplitude, times) -> EhrenfestReport:
     # written so that nan fails; float() keeps a numpy mass from warning where 2/m overflows
     if not (0 < mass < math.inf and math.isfinite(2.0 / float(mass))):
         raise ValueError(f"mass must be positive and finite with a finite 2/mass, got {float(mass)!r}")
-    ts = np.asarray(list(times), dtype=float)
+    ts = _real_times(times)
     if len(ts) < 3:
         raise ValueError(f"need at least 3 times for central differences, got {len(ts)}")
     with np.errstate(invalid="ignore"):  # a time that is not finite makes a nan step, which fails below

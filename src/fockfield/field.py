@@ -3,7 +3,10 @@
 Units are ħ = c = 1; the lattice spacing Δx carries the length scale.
 Sites sit at x_j = (j − M/2)Δx with periodic boundaries, and the dual
 momenta are p_k = 2πk/(MΔx) for k = −M/2 .. M/2−1, which makes the
-position↔momentum map exactly unitary.
+position↔momentum map exactly unitary.  to_momentum and from_momentum
+evaluate it by FFT: np.fft.fftshift and ifftshift move amplitudes between
+np.fft order (k = 0 .. M/2−1, then −M/2 .. −1) and the order of
+lattice.momenta, and the factors exp(iπk) carry the half-lattice origin.
 
 A one-particle state is assembled by smearing the creation operator with
 a complex intensity profile f(x); the occupation-number density then
@@ -104,6 +107,12 @@ class LatticeSpec:
         return w
 
 
+def _norm(values: np.ndarray) -> float:
+    """‖values‖, inf where the values are finite but their norm overflows."""
+    with np.errstate(over="ignore"):  # the overflow is the inf itself, not a numpy warning
+        return float(np.linalg.norm(values))
+
+
 @dataclass
 class WaveAmplitude:
     """Complex intensity profile f(x), one value per lattice site."""
@@ -120,10 +129,13 @@ class WaveAmplitude:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return _norm(self.values)
 
     def normalized(self) -> "WaveAmplitude":
-        return WaveAmplitude(self.values / self.norm, self.lattice)
+        n = self.norm
+        if not 0 < n < math.inf:
+            raise ValueError(f"cannot normalize an intensity profile of norm {n!r}")
+        return WaveAmplitude(self.values / n, self.lattice)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -145,7 +157,7 @@ class MomentumAmplitude:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        return _norm(self.values)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -172,39 +184,22 @@ def overlap(lattice: LatticeSpec, x_index: int, p_index: int) -> complex:
     return complex(np.exp(-1j * p * x) / np.sqrt(M))
 
 
-def _fft_order(lattice: LatticeSpec):
-    """The FFT input order of momentum amplitudes: ``(order, signs)``.
-
-    FFT slot i holds wavenumber k = i for i < M/2 and k = i − M above, so
-    ``values.take(order, axis=-1)`` puts amplitudes indexed like
-    lattice.momenta into that order (order swaps the two halves, so it is
-    its own inverse), and ``signs`` holds the factors exp(iπk), from the
-    half-lattice origin offset, in that order.  A factor of ±1 commutes
-    with rounding, so where it is applied does not change a bit.
-    """
-    slots = np.arange(lattice.num_sites)
-    return np.roll(slots, -(lattice.num_sites // 2)), np.where(slots % 2 == 0, 1.0, -1.0)
-
-
 def to_momentum(f: WaveAmplitude) -> MomentumAmplitude:
     """g(p) = Σ_x f(x) ⟨φ_p, φ_x⟩, evaluated by FFT."""
-    lat = f.lattice
-    order, signs = _fft_order(lat)
-    g = (signs * np.fft.fft(f.values)).take(order) / np.sqrt(lat.num_sites)
-    return MomentumAmplitude(g, lat)
+    M = f.lattice.num_sites
+    return MomentumAmplitude(np.fft.fftshift(_origin_signs(M) * np.fft.fft(f.values)) / np.sqrt(M), f.lattice)
 
 
 def from_momentum(g: MomentumAmplitude) -> WaveAmplitude:
     """Inverse of to_momentum; the pair round-trips to 1e-12."""
-    return WaveAmplitude(from_momentum_values(g.values, g.lattice), g.lattice)
+    M = g.lattice.num_sites
+    return WaveAmplitude(np.fft.ifft(np.fft.ifftshift(g.values) * _origin_signs(M)) * np.sqrt(M), g.lattice)
 
 
-def from_momentum_values(values: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
-    """The inverse transform of from_momentum along the last axis, so a
-    (rows × M) array is transformed row by row, each row in the same float
-    operations as a single amplitude."""
-    order, signs = _fft_order(lattice)
-    return np.fft.ifft(values.take(order, axis=-1) * signs, axis=-1) * np.sqrt(lattice.num_sites)
+def _origin_signs(num_sites: int) -> np.ndarray:
+    """exp(iπk) in np.fft order, +1 and −1 in turn: the phase of the half-lattice origin offset
+    x_0 = −(M/2)Δx.  A factor of ±1 commutes with rounding, so where it is applied moves no bit."""
+    return np.where(np.arange(num_sites) % 2 == 0, 1.0, -1.0)
 
 
 def site_mode_space(lattice: LatticeSpec, statistics=Statistics.BOSE, nmax: int = 8) -> ModeSpace:
@@ -352,6 +347,8 @@ def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0) -> np
     out at any margin: the two arange grids can differ by an ulp where
     dt == dx.
     """
+    if not math.isfinite(cone_margin):  # nan or inf would drop the whole wedge without a word
+        raise ValueError(f"cone_margin must be finite, got {cone_margin!r}")
     extent = lattice.length / 4.0
     step = lattice.spacing
     dts = np.arange(0.0, extent + step / 2, step)

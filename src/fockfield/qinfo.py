@@ -160,6 +160,9 @@ def entangled_pair(phi1, phi2, psi1, psi2) -> BipartiteState:
     for name, v in (("phi1", phi1), ("phi2", phi2), ("psi1", psi1), ("psi2", psi2)):
         if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
+    for name, v, like, first in (("phi2", phi2, "phi1", phi1), ("psi2", psi2, "psi1", psi1)):
+        if v.size != first.size:
+            raise ValueError(f"{name} must have length {first.size}, as {like} does, got {v.size}")
     amp = np.outer(phi1, psi1) + np.outer(phi2, psi2)
     n = np.linalg.norm(amp)
     if n < 1e-12:
@@ -204,6 +207,10 @@ def conditional_state(state: BipartiteState, outcome):
     exactly in ψ₁.
     """
     outcome = np.asarray(outcome, dtype=complex)
+    d_a = state.dims[0]
+    if outcome.shape != (d_a,):
+        raise ValueError(f"outcome must be a vector of length {d_a}, the dimension of subsystem A, "
+                         f"got shape {outcome.shape}")
     if not abs(np.linalg.norm(outcome) - 1.0) <= NORM_TOL:
         raise ValueError("outcome vector must be normalized")
     chi = outcome.conj() @ state.amplitudes

@@ -8,6 +8,8 @@ rounds differently; every record field must equal the oracle's within
 ``trajectory_rounding_bound``, and t bit for bit.  On any other times its
 per-sample fallback keeps the oracle's f and P f, so there mean_x,
 mean_x2, mean_c and dx equal the oracle's bit for bit.
+``fft_input_per_roundtrip`` is a packet's FFT input the long way, through
+``fockfield.field.to_momentum`` and back into np.fft order.
 ``build_observables`` assembles dense X, P, H, C matrices, which grow as
 M² and serve the operator identities in the tests.
 """
@@ -49,6 +51,16 @@ def build_observables(lattice: LatticeSpec) -> ObservableSet:
     H = (H + H.conj().T) / 2
     C = (X @ P + P @ X) / 2
     return ObservableSet(X=X, P=P, H=H, C=C)
+
+
+def fft_input_per_roundtrip(f0):
+    """The momentum amplitude of f0 and the momenta in np.fft order, by field's transform: to_momentum's
+    values and lattice.momenta with their halves swapped back, the values times exp(iπk) again."""
+    lattice = f0.lattice
+    M = lattice.num_sites
+    order = np.roll(np.arange(M), -(M // 2))  # swaps the halves, so it is its own inverse
+    signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
+    return to_momentum(f0).values.take(order) * signs, lattice.momenta.take(order)
 
 
 def _position_values(gt, lattice):

@@ -1097,6 +1097,12 @@ def test_cli_imports_no_private_name_from_a_sibling_module():
     assert private_imports_from_siblings(SRC / "fockfield" / "cli.py") == []
 
 
+def test_dynamics_imports_no_private_name_from_field():
+    # dynamics evolves in np.fft order on its own; field's transform keeps its layout to itself
+    private = private_imports_from_siblings(SRC / "fockfield" / "dynamics.py")
+    assert [name for module, name in private if module == "field"] == []
+
+
 def imported_modules(path):
     """Top-level names of the modules a source file imports, relative imports left out."""
     tree = ast.parse(pathlib.Path(path).read_text())

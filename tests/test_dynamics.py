@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dynamics_oracles import (
     EPS,
     build_observables,
+    fft_input_per_roundtrip,
     records_per_sample,
     seam_margin,
     trajectory_per_sample,
@@ -540,6 +541,23 @@ def test_evolve_and_trajectory_check_the_mass_and_the_phase_in_one_step(mass, me
         assert exc.traceback[-1].name == "_evolved_momenta"
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda f: trajectory(f, [[0.0, 1.0]]), "times must be a 1-D sequence of real numbers"),
+    (lambda f: trajectory(f, [1j, 2j, 3j]), "times must be a 1-D sequence of real numbers"),
+    # numpy's cast of a complex array drops the imaginary part with only a warning
+    (lambda f: trajectory(f, np.array([0.0, 1j, 2j])), "times must be a 1-D sequence of real numbers"),
+    (lambda f: trajectory(f, 2.0), "times must be a 1-D sequence of real numbers"),
+    (lambda f: trajectory(f, ["0", "one"]), "times must be a 1-D sequence of real numbers"),
+    (lambda f: ehrenfest_residuals(f, [0, 1j, 2j]), "times must be a 1-D sequence of real numbers"),
+    (lambda f: evolve(f, 1j), "t must be a real number"),
+    (lambda f: evolve(f, [1.0]), "t must be a real number"),
+], ids=["nested", "complex", "complex-array", "scalar", "text", "ehrenfest", "evolve", "evolve-list"])
+def test_times_that_are_not_real_numbers_raise_naming_them(run, message):
+    # numpy's broadcast message and float()'s TypeError once leaked here
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(gaussian_packet(LAT, 0.0, 0.0, 8.0))
+
+
 def test_evolve_equals_the_phase_product_through_from_momentum_bitwise():
     # the density-out profile: evolve keeps the bits of multiplying g(p) by
     # exp(-i p^2 t / 2m) for one scalar t and inverting one amplitude
@@ -550,6 +568,36 @@ def test_evolve_equals_the_phase_product_through_from_momentum_bitwise():
             phases = np.exp(-1j * lat.momenta**2 * t / (2 * lat.mass))
             want = from_momentum(MomentumAmplitude(to_momentum(f).values * phases, lat)).values
             assert evolve(f, t).values.tobytes() == want.tobytes()
+
+
+@st.composite
+def fft_input_cases(draw):
+    M = 2 * draw(st.integers(1, 64))
+    lattice = LatticeSpec(M, draw(st.sampled_from((1.0, 0.3))), 1.0)
+    part = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -0.5)), st.floats(-10.0, 10.0))
+    re_part = np.array(draw(st.lists(part, min_size=M, max_size=M)))
+    im_part = np.array(draw(st.lists(part, min_size=M, max_size=M)))
+    kind = draw(st.sampled_from(("complex", "real-symmetric", "half-zero")))
+    if kind == "real-symmetric":  # f(x) = f(-x): x_j = -x_(M-j), so the transform is real
+        return WaveAmplitude(re_part + re_part[-np.arange(M)], lattice)
+    values = re_part + 1j * im_part
+    if kind == "half-zero":
+        values[np.roll(np.arange(M) < M // 2, draw(st.integers(0, M - 1)))] = 0.0
+    return WaveAmplitude(values, lattice)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fft_input_cases())
+def test_fft_input_equals_the_roundtrip_through_to_momentum(f):
+    # the round trip multiplies by the origin signs exp(i pi k) twice; a factor of +-1 rounds
+    # nothing, but numpy's complex product adds 0 * the other part, which can turn a zero's sign
+    g, p = dynamics._fft_input(f)
+    want_g, want_p = fft_input_per_roundtrip(f)
+    assert p.tobytes() == want_p.tobytes()
+    assert np.array_equal(g, want_g)
+    parts, want_parts = g.view(float), want_g.view(float)
+    moved = parts.view(np.int64) != want_parts.view(np.int64)
+    assert np.all(parts[moved] == 0.0)
 
 
 def test_no_public_callable_takes_a_lattice_beside_an_amplitude():

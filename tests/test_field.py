@@ -20,7 +20,6 @@ from fockfield.field import (
     default_spacelike_grid,
     field_expectation,
     from_momentum,
-    from_momentum_values,
     number_density,
     overlap,
     pauli_jordan,
@@ -109,17 +108,6 @@ def test_transform_roundtrip_and_parseval():
     assert g.norm == pytest.approx(f.norm, abs=1e-12)
 
 
-def test_from_momentum_values_transforms_each_row_like_from_momentum():
-    rng = np.random.default_rng(2)
-    lat = LatticeSpec(64, 0.5, 1.0)
-    block = rng.normal(size=(5, 64)) + 1j * rng.normal(size=(5, 64))
-    rows = from_momentum_values(block, lat)
-    assert rows.shape == block.shape
-    for row, g in zip(rows, block):
-        assert np.array_equal(row, from_momentum(MomentumAmplitude(g, lat)).values)
-        assert np.max(np.abs(to_momentum(WaveAmplitude(row, lat)).values - g)) < 1e-12
-
-
 def test_point_source_is_momentum_flat():
     vals = np.zeros(8)
     vals[3] = 1.0
@@ -199,6 +187,28 @@ def test_wave_amplitude_normalized_has_unit_norm_and_the_same_shape():
     assert g.lattice == LAT8
     assert g.norm == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(g.values * f.norm, f.values, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("values, norm", [
+    (np.zeros(8), "0.0"),
+    (np.full(8, 5e-324), "0.0"),  # every square underflows to 0
+    (np.full(8, 1e308), "inf"),
+], ids=["zero", "subnormal", "overflow"])
+def test_wave_amplitude_normalized_rejects_a_norm_that_is_zero_or_not_finite(values, norm):
+    # each once leaked a numpy divide or overflow warning
+    with pytest.raises(ValueError, match=f"^cannot normalize an intensity profile of norm {norm}$"):
+        WaveAmplitude(values, LAT8).normalized()
+
+
+@pytest.mark.parametrize("amplitude", [WaveAmplitude, MomentumAmplitude])
+@pytest.mark.parametrize("values", [np.full(8, 1e308), np.full(8, -1e308j)], ids=["real", "imaginary"])
+def test_amplitude_norm_is_inf_without_a_warning_where_finite_values_overflow(amplitude, values):
+    assert amplitude(values, LAT8).norm == np.inf
+
+
+def test_prepare_one_particle_names_a_norm_that_overflows():
+    with pytest.raises(ValueError, match=r"^intensity profile must be normalized \(norm = inf\)$"):
+        prepare_one_particle(WaveAmplitude(np.full(8, 1e308), LAT8), site_mode_space(LAT8))
 
 
 def test_bimodal_profile_keeps_both_lobes():
@@ -548,6 +558,14 @@ def test_default_spacelike_grid_equals_the_pair_by_pair_oracle(M, spacing, margi
     pairs = default_spacelike_grid_pairs(lattice, cone_margin=margin)
     assert isinstance(grid, np.ndarray) and grid.dtype == float and grid.shape == (len(pairs), 2)
     assert grid.tobytes() == np.array(pairs, dtype=float).reshape(len(pairs), 2).tobytes()
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+def test_default_spacelike_grid_rejects_a_cone_margin_that_is_not_finite(margin):
+    # nan and inf once dropped the whole wedge without a word: 4 equal-time points at M = 16
+    lattice = LatticeSpec(16, 1.0, 1.0, Dispersion.RELATIVISTIC)
+    with pytest.raises(ValueError, match=f"^cone_margin must be finite, got {margin!r}$"):
+        default_spacelike_grid(lattice, cone_margin=margin)
 
 
 @pytest.mark.parametrize("pairs", [

@@ -438,6 +438,20 @@ def test_nan_fails_every_tolerance_and_sign_check(call, message):
     assert str(exc.value).startswith(message)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: entangled_pair([1, 0], [1, 0, 0], [1, 0], [1, 0]), "phi2 must have length 2, as phi1 does, got 3"),
+    (lambda: entangled_pair(E0, E1, [1, 0, 0], E1), "psi2 must have length 3, as psi1 does, got 2"),
+    (lambda: conditional_state(BELL, [1, 0, 0]),
+     "outcome must be a vector of length 2, the dimension of subsystem A, got shape (3,)"),
+    (lambda: conditional_state(BELL, [[1, 0]]),
+     "outcome must be a vector of length 2, the dimension of subsystem A, got shape (1, 2)"),
+], ids=["entangled-phi", "entangled-psi", "conditional-length", "conditional-row"])
+def test_vectors_of_the_wrong_length_are_named_with_the_length_they_need(call, message):
+    # numpy's broadcast and matmul messages once leaked here
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 @pytest.mark.parametrize("n", [10.5, NAN, float("inf"), "10"])
 def test_sample_outcomes_rejects_a_non_integral_count_naming_it(n):
     rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
