@@ -28,13 +28,12 @@ corrections are at Gaussian-tail level.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .field import LatticeSpec, WaveAmplitude
-from .fock import _BLOCK_ELEMENTS
+from .fock import _BLOCK_ELEMENTS, _real_array
 
 # The phase tables of a uniform grid hold at most this many complex values
 # (4 MiB), twice a block: a 4096-site, 501-sample trajectory needs 184,320.
@@ -145,16 +144,14 @@ def _fft_input(f: WaveAmplitude):
 
 
 def _real_times(times, error: str = "times must be a 1-D sequence of real numbers") -> np.ndarray:
-    """times as a 1-D float array.  Raises ValueError(error) where it is not a sequence, or an entry
-    is not a real number: complex (numpy's cast would drop the imaginary part with only a warning),
-    a sequence itself, or text that is not a number."""
+    """times as a 1-D float array.  Raises ValueError(error) where it is not a sequence, an entry is
+    a sequence itself, or an entry is not a real number (fock._real_array)."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
-            ts = np.asarray(list(times), dtype=float)
-    except (TypeError, ValueError, np.exceptions.ComplexWarning):
-        ts = None
-    if ts is None or ts.ndim != 1:
+        times = list(times)
+    except TypeError:
+        raise ValueError(error) from None
+    ts = _real_array(times, error)
+    if ts.ndim != 1:
         raise ValueError(error)
     return ts
 

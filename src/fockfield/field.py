@@ -22,6 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .fock import (
     Statistics,
     _index_arg,
     _integer,
+    _real_array,
     annihilate,
     create,
     inner,
@@ -331,6 +333,10 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
     should flag this in their metadata.  This is the one-pair case of
     commutator_sweep, so it raises ValueError where the phase is not finite.
     """
+    for name, value in (("dt", dt), ("dx", dx)):
+        error = f"{name} must be a real number, got {value!r}"
+        if _real_array(value, error).ndim != 0:
+            raise ValueError(error)
     with_anti, without = commutator_sweep(lattice, [(dt, dx)])
     return complex((with_anti if include_antiparticles else without)[0])
 
@@ -361,21 +367,25 @@ def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0) -> np
 def commutator_sweep(lattice: LatticeSpec, pairs):
     """The pauli_jordan mode sums over (dt, dx) pairs, with and without antiparticles.
 
-    pairs is a sequence of (dt, dx) pairs or an (n, 2) float array.  Returns
-    two 1-D complex arrays, ``(with_antiparticles, without)``, each with one
-    value per pair in input order.  The mode sum factors as
+    pairs is a sequence of (dt, dx) pairs of real numbers or an (n, 2) float
+    array; anything else raises ValueError naming pairs.  Returns two 1-D
+    complex arrays, ``(with_antiparticles, without)``, each with one value
+    per pair in input order.  The mode sum factors as
     S = (1/M) Σ_k e^{ip_k·dx} · e^{−iω_k·dt}/2ω_k, so one table A holds
     e^{ip·dx} for each distinct dx and one table B holds e^{−iω·dt}/2ω for
-    each distinct dt: one complex exp per distinct value and mode.  For
-    each distinct dt, the A rows of its pairs' distinct dx times its B row
-    are summed over the modes by einsum's own loop (no BLAS, so the bits
-    depend on no BLAS kernel or thread count).  The sum without
-    antiparticles is S; the one with them is 2i·Im S, whose real part is
-    exactly +0.0.  A pair takes its bits from its own two table rows, so
-    its value does not depend on the other pairs: pauli_jordan of one pair
+    each distinct dt: one complex exp per distinct value and mode.  The
+    pairs are taken in the order given, in runs of equal dt: for each run,
+    the A rows of its pairs times its B row are summed over the modes by one
+    call of einsum's own loop (no BLAS, so the bits depend on no BLAS kernel
+    or thread count).  Pairs grouped by dt, as the dts × separations product
+    and default_spacelike_grid give them, cost one call per distinct dt;
+    any other order costs one call per run.  The sum without antiparticles
+    is S; the one with them is 2i·Im S, whose real part is exactly +0.0.  A
+    pair takes its bits from its own two table rows, so its value does not
+    depend on the other pairs or their order: pauli_jordan of one pair
     equals that pair inside any sweep.  Memory: (distinct dt + distinct dx)
-    × modes complex values, plus one dt's gathered rows of A (at most
-    distinct dx × modes).
+    × modes complex values, one run's gathered rows of A (run length ×
+    modes), and per pair only its two table indices and the two results.
 
     A pair whose A or B row is not finite (p·dx or ω·dt overflows, or an
     input is nan or inf) raises ValueError naming the first such pair.
@@ -383,7 +393,11 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     the value is finite: the product of the two rounded factors.
     """
     w, p = _commutator_modes(lattice)
-    grid = np.asarray(pairs, dtype=float).reshape(len(pairs), 2)
+    grid = _real_array(pairs, "pairs must be (dt, dx) pairs of real numbers")
+    if grid.shape == (0,):  # an empty sequence: no pairs
+        grid = grid.reshape(0, 2)
+    if grid.ndim != 2 or grid.shape[1] != 2:
+        raise ValueError(f"pairs must be (dt, dx) pairs of real numbers, as an (n, 2) array, got shape {grid.shape}")
     # + 0.0 turns -0.0 into +0.0 (their B rows differ in the sign of zero imaginary parts), so the
     # rows a pair reads do not depend on which of the two zeros np.unique kept from the other pairs
     dts, ti = np.unique(grid[:, 0] + 0.0, return_inverse=True)
@@ -396,15 +410,11 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
         bad = finite.argmin()
         raise ValueError(f"the phase p*dx - w*dt is not finite at dts {float(grid[bad, 0])!r}, "
                          f"separations {float(grid[bad, 1])!r}")
-    # the distinct pairs, ordered by dt, so each dt's pairs are one slice
-    keys, inverse = np.unique(ti * len(dxs) + xi, return_inverse=True)
-    key_t, key_x = np.divmod(keys, len(dxs))
-    starts = np.searchsorted(key_t, np.arange(len(dts) + 1))
-    s = np.empty(len(keys), dtype=complex)
-    for t in range(len(dts)):
-        lo, hi = starts[t], starts[t + 1]
-        s[lo:hi] = np.einsum("ik,k->i", a[key_x[lo:hi]], b[t])
-    without = s[inverse] / lattice.num_sites
+    without = np.empty(len(grid), dtype=complex)
+    starts = np.flatnonzero(np.diff(ti, prepend=-1))  # where each run of equal dt begins
+    for lo, hi in pairwise([*starts, len(ti)]):
+        without[lo:hi] = np.einsum("ik,k->i", a[xi[lo:hi]], b[ti[lo]])
+    without /= lattice.num_sites
     with_anti = np.zeros(len(without), dtype=complex)  # 1j * x would give -0.0 real parts where x < 0
     with_anti.imag = 2.0 * without.imag
     return with_anti, without

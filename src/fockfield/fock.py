@@ -43,6 +43,7 @@ import functools
 import itertools
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import index as _index
@@ -94,6 +95,22 @@ def _index_arg(name: str, value) -> int:
         return _index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real_array(values, error: str) -> np.ndarray:
+    """values as a float array.  Raises ValueError(error) where an entry is not a real number:
+    None (numpy's cast would make it nan), complex (the cast would drop the imaginary part with
+    only a warning), text that is not a number, an int beyond the float range, or rows of
+    different lengths."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            array = np.asarray(values)
+            if array.dtype != object or all(value is not None for value in array.flat):
+                return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):
+        pass
+    raise ValueError(error)
 
 
 @dataclass(frozen=True)
@@ -173,7 +190,10 @@ class FockVector:
     @property
     def norm(self) -> float:
         if self._norm is None:
-            self._norm = float(np.sqrt(sum(abs(a) ** 2 for a in _amplitude_values(self))))
+            try:
+                self._norm = float(np.sqrt(sum(abs(a) ** 2 for a in _amplitude_values(self))))
+            except OverflowError:  # Python's abs or ** past the largest float, where numpy gives inf
+                self._norm = math.inf
         return self._norm
 
     @property
@@ -192,6 +212,8 @@ class FockVector:
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the null element")
+        if not n < math.inf:
+            raise ValueError(f"cannot normalize a state of norm {n!r}")
         return FockVector(self.mode_space, {k: v / n for k, v in self.amplitudes.items()})
 
     def sector_weights(self) -> dict:

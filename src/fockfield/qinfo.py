@@ -142,6 +142,8 @@ class MeasurementModel:
 def born_distribution(amplitudes) -> np.ndarray:
     """ρ(λ) = |⟨φ_λ, ψ⟩|², the empirically testable weight of each outcome."""
     f = np.asarray(amplitudes, dtype=complex)
+    if f.ndim != 1:
+        raise ValueError(f"amplitudes must be a 1-D vector, got shape {f.shape}")
     total = float(np.sum(np.abs(f) ** 2))
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitudes must be normalized (Σ|f|² = {total!r})")
@@ -158,6 +160,8 @@ def entangled_pair(phi1, phi2, psi1, psi2) -> BipartiteState:
     phi1, phi2 = np.asarray(phi1, dtype=complex), np.asarray(phi2, dtype=complex)
     psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
     for name, v in (("phi1", phi1), ("phi2", phi2), ("psi1", psi1), ("psi2", psi2)):
+        if v.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
         if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
     for name, v, like, first in (("phi2", phi2, "phi1", phi1), ("psi2", psi2, "psi1", psi1)):
@@ -278,7 +282,10 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
 
 def pointer_outcome_counts(counts: np.ndarray, dims) -> np.ndarray:
     """Fold flat product-space counts onto the pointer diagonal (λ, λ)."""
-    d_a, d_b = dims
+    try:
+        d_a, d_b = dims
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValueError(f"dims must be a pair (d_a, d_b), got {dims!r}") from None
     if np.size(counts) != d_a * d_b:
         raise ValueError(f"counts has {np.size(counts)} entries, but dims {tuple(dims)} need {d_a * d_b}")
     return counts.reshape(d_a, d_b).diagonal().copy()

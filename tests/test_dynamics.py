@@ -558,6 +558,16 @@ def test_times_that_are_not_real_numbers_raise_naming_them(run, message):
         run(gaussian_packet(LAT, 0.0, 0.0, 8.0))
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda f: trajectory(f, [0.0, None, 2.0]), "times must be a 1-D sequence of real numbers"),
+    (lambda f: evolve(f, None), "t must be a real number"),
+], ids=["trajectory", "evolve"])
+def test_a_time_of_none_raises_naming_the_times(run, message):
+    # numpy's cast once made None a nan, reported as a phase that is not finite
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(gaussian_packet(LAT, 0.0, 0.0, 8.0))
+
+
 def test_evolve_equals_the_phase_product_through_from_momentum_bitwise():
     # the density-out profile: evolve keeps the bits of multiplying g(p) by
     # exp(-i p^2 t / 2m) for one scalar t and inverting one amplitude

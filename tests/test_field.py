@@ -1,6 +1,7 @@
 import ast
 import inspect
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -702,3 +703,93 @@ def test_lattice_takes_an_integral_size_as_an_int():
     assert lattice == LAT8 and type(lattice.num_sites) is int
     assert lattice.wavenumbers.dtype == LAT8.wavenumbers.dtype
     assert np.array_equal(LatticeSpec(np.int64(8), 1.0, 1.0).positions, LAT8.positions)
+
+
+@st.composite
+def sweep_products(draw):
+    """(lattice, dts, separations) for a dts × separations product whose values may repeat and
+    include both zeros."""
+    M = 2 * draw(st.integers(1, 100))
+    spacing = draw(st.floats(0.01, 2.0))
+    mass = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    pool = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=3)) + [0.0, -0.0]
+    value = st.floats(-100.0, 100.0) | st.sampled_from(pool)
+    dts, separations = (draw(st.lists(value, min_size=1, max_size=12)) for _ in range(2))
+    return LatticeSpec(M, spacing, mass, Dispersion.RELATIVISTIC), dts, separations
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_products(), st.randoms(use_true_random=False))
+def test_commutator_sweep_gives_each_pair_its_bits_in_any_order(case, random):
+    # the sweep takes runs of equal dt in the order given; dx-major, shuffled and duplicated orders
+    # cut a dt into many runs, and every pair must keep the bits it has in the dt-major sweep
+    lattice, dts, separations = case
+    dt_major = [(dt, dx) for dt in dts for dx in separations]
+    want = commutator_sweep(lattice, dt_major)
+    n, m = len(dt_major), len(separations)
+    shuffled = random.sample(range(n), n)
+    orders = {
+        "dx-major": [i * m + j for j in range(m) for i in range(len(dts))],
+        "shuffled": shuffled,
+        "duplicated": shuffled + [random.randrange(n) for _ in range(n)],
+    }
+    for name, order in orders.items():
+        got = commutator_sweep(lattice, [dt_major[i] for i in order])
+        for g, w in zip(got, want):
+            assert bits(g) == bits(w[order]), name
+    for i in range(0, n, max(1, n // 5)):
+        alone = [pauli_jordan(lattice, *dt_major[i], True), pauli_jordan(lattice, *dt_major[i], False)]
+        assert bits(alone) == bits([want[0][i], want[1][i]])
+
+
+def test_commutator_sweep_holds_at_most_80_bytes_per_pair():
+    # at M 8 the tables are negligible, so the peak is per pair: the two results (32 B), the two
+    # table indices (16 B) and the run starts' temporaries; numbering the distinct pairs took 106 B
+    lattice = LatticeSpec(8, 0.25, 1.0, Dispersion.RELATIVISTIC)
+    values = np.arange(256) * 0.25
+    pairs = np.column_stack([np.repeat(values, 256), np.tile(values + 0.125, 256)])
+    commutator_sweep(lattice, pairs[:4])  # caches outside the measurement
+    tracemalloc.start()
+    try:
+        commutator_sweep(lattice, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * len(pairs)
+
+
+@pytest.mark.parametrize("pairs, shape", [
+    ([[[0.0, 1.0]]], (1, 1, 2)), ([(0.0, 1.0, 2.0)], (1, 3)), (np.array([0.0, 1.0]), (2,)), (np.empty((0, 3)), (0, 3)),
+], ids=["3-D", "triple", "flat-array", "empty-triples"])
+def test_commutator_sweep_names_pairs_of_the_wrong_shape(pairs, shape):
+    # a 3-D input was once read as one pair, and the others leaked numpy's reshape message
+    message = f"pairs must be (dt, dx) pairs of real numbers, as an (n, 2) array, got shape {shape}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        commutator_sweep(REL512, pairs)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0.0, 1.0), (2.0,)], [(1j, 1.0)], np.array([[1j, 1.0]]), [("a", 1.0)], [(None, 1.0)], [(0.5, 10**400)],
+], ids=["ragged", "complex", "complex-array", "text", "none", "huge-int"])
+def test_commutator_sweep_names_pairs_that_are_not_real_numbers(pairs):
+    # numpy's inhomogeneous-shape, float() and int-to-float messages once leaked here, a complex
+    # array lost its imaginary parts with a warning, and None became nan
+    with pytest.raises(ValueError, match=r"^pairs must be \(dt, dx\) pairs of real numbers$"):
+        commutator_sweep(REL512, pairs)
+
+
+def test_commutator_sweep_takes_values_that_are_real_numbers_as_their_floats():
+    values = [(0, Fraction(3)), ("0.5", np.float32(2.5)), (True, Decimal("1.5"))]
+    want = commutator_sweep(REL512, [(0.0, 3.0), (0.5, 2.5), (1.0, 1.5)])
+    for got, w in zip(commutator_sweep(REL512, values), want):
+        assert bits(got) == bits(w)
+
+
+@pytest.mark.parametrize("dt, dx, name, value", [
+    (None, 1.0, "dt", None), (0.5, None, "dx", None), (1j, 1.0, "dt", 1j), (0.5, "a", "dx", "a"),
+    ([0.5, 1.0], 3.0, "dt", [0.5, 1.0]),
+])
+def test_pauli_jordan_names_a_dt_or_dx_that_is_not_a_real_number(dt, dx, name, value):
+    # None once became nan and was reported as a phase that is not finite at dts nan
+    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a real number, got {value!r}") + "$"):
+        pauli_jordan(REL512, dt, dx)

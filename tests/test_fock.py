@@ -1062,3 +1062,13 @@ def test_numpy_integers_and_bools_index_modes_and_species_as_ints():
         assert type(SPACE_2_SPECIES.slot(mode, species)) is int
     assert exact_items(annihilate(ONE_BOSON, np.int32(0))) == exact_items(annihilate(ONE_BOSON, 0))
     assert number_expectation(ONE_BOSON, np.int64(0), False) == number_expectation(ONE_BOSON, 0, 0) == 1.0
+
+
+def test_a_norm_past_the_float_range_is_inf_and_cannot_be_normalized():
+    # the sum over Python floats once raised OverflowError (34, 'Numerical result out of range')
+    space = ModeSpace(2, Statistics.BOSE, nmax=2)
+    for v in (FockVector(space, {(1, 0): 1e200}), transformed_create(vacuum(space), [1e200, 0]),
+              FockVector(space, {(0, 1): complex(1e308, 1e308)})):
+        assert v.norm == math.inf
+        with pytest.raises(ValueError, match=r"^cannot normalize a state of norm inf$"):
+            v.normalized()

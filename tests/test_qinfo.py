@@ -500,3 +500,17 @@ def test_sample_outcomes_keeps_the_counts_of_integer_seeds():
         for same in (seed, np.int64(seed), float(seed)):
             assert np.array_equal(sample_outcomes(rho, 10, same), want)
     assert sample_outcomes(rho, 10, None).sum() == 10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: entangled_pair([[1, 0], [0, 0]], [1, 0, 0, 0], E0, E1), "phi1 must be a 1-D vector, got shape (2, 2)"),
+    (lambda: entangled_pair(E0, E1, E0, [[0, 1]]), "psi2 must be a 1-D vector, got shape (1, 2)"),
+    (lambda: born_distribution([[0.6, 0.8]]), "amplitudes must be a 1-D vector, got shape (1, 2)"),
+    (lambda: pointer_outcome_counts(np.array([1, 2, 3, 4]), (2,)), "dims must be a pair (d_a, d_b), got (2,)"),
+    (lambda: pointer_outcome_counts(np.array([1, 2, 3, 4]), 4), "dims must be a pair (d_a, d_b), got 4"),
+], ids=["entangled-matrix", "entangled-row", "born-row", "dims-one", "dims-int"])
+def test_arguments_of_the_wrong_shape_are_named_with_the_shape_they_need(call, message):
+    # np.outer once flattened a factor of any shape, born_distribution returned a 2-D array, and
+    # dims leaked Python's unpacking messages
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
