@@ -12,12 +12,13 @@ so field's reorder and origin signs exp(iπk), which commute with a phase,
 are never applied and undone.  `trajectory` evolves blocks of sample
 times as one (times × sites) array: one inverse FFT along the rows for f
 and one for P f, and the expectations as row sums.  The FFT inputs of a
-uniform time grid are row products of two small phase tables; other
-times take one half-spectrum phase exponential per sample, bit-identical
-to evolving the samples one at a time.  The tables round differently, by
-a bound that tests/dynamics_oracles.py derives.  A block's FFT input also
-holds each intermediate in turn, so a call holds the tables and about
-four block arrays.
+uniform time grid are row products of a block's coarse rows and one fine
+table of at most a block; other times take one half-spectrum phase
+exponential per sample, bit-identical to evolving the samples one at a
+time.  The row products round differently, by a bound that
+tests/dynamics_oracles.py derives.  One budget, fock._BLOCK_ELEMENTS,
+sizes the blocks and the fine table, and one set of buffers serves every
+block of a call.
 
 The canonical commutator [X, P] = i cannot hold globally on a periodic
 lattice, so every continuum identity here is asserted on localized
@@ -35,9 +36,6 @@ import numpy as np
 from .field import LatticeSpec, WaveAmplitude
 from .fock import _BLOCK_ELEMENTS, _real_array
 
-# The phase tables of a uniform grid hold at most this many complex values
-# (4 MiB), twice a block: a 4096-site, 501-sample trajectory needs 184,320.
-_TABLE_ELEMENTS = 2 * _BLOCK_ELEMENTS
 _GRID_TOL = 4 * np.finfo(float).eps  # of max|t|: how far a uniform grid's times may sit from t₀ + k·h
 
 
@@ -102,32 +100,37 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
     return WaveAmplitude(f / np.linalg.norm(f), lattice)
 
 
-def _phases(times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+def _phases(times: np.ndarray, lattice: LatticeSpec, out=None) -> np.ndarray:
     """exp(−i p² t / 2m) in np.fft order, one row per entry of the 1-D float
-    array times; nan or inf where the phase is not finite.
+    array times, into out when given; nan or inf where it is not finite.
 
     The momenta are exactly sign-symmetric, so p and −p have bit-equal p²:
     one complex exp per time and |k| = 0 .. M/2, spread over the M slots,
     where np.fft slot i holds |k| = min(i, M − i).
     """
     M = lattice.num_sites
-    p = lattice.momenta[M // 2::-1]  # k = 0, −1, .., −M/2
+    q = lattice.momenta[M // 2::-1] ** 2  # k = 0, −1, .., −M/2
     with np.errstate(all="ignore"):  # a phase that is not finite makes its exponential nan, reported by callers
-        half = np.exp(-1j * p**2 * times[:, None] / (2 * lattice.mass))
-    slots = np.arange(M)
-    return half.take(np.minimum(slots, M - slots), axis=1)
+        half = -1j * q * times[:, None]
+        half /= 2 * lattice.mass
+        np.exp(half, out=half)
+    u = np.empty((len(times), M), dtype=complex) if out is None else out
+    u[:, :M // 2 + 1] = half
+    u[:, M // 2 + 1:] = half[:, M // 2 - 1:0:-1]
+    return u
 
 
-def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec, out=None) -> np.ndarray:
     """FFT inputs g·exp(−i p² t / 2m), one row per entry of the 1-D float
-    array times, with g a momentum amplitude in np.fft order (_fft_input).
+    array times, into out when given, with g a momentum amplitude in np.fft
+    order (_fft_input).
 
     Raises ValueError for a mass that is not positive, or when p² t / 2m
     is not finite for some mode and time, so no evolved value is nan.
     """
     if lattice.mass <= 0:
         raise ValueError("mass must be positive")
-    u = _phases(times, lattice)
+    u = _phases(times, lattice, out)
     if not np.isfinite(u).all():
         raise ValueError(
             f"the phase p^2 t / 2m is not finite for times up to {float(np.max(np.abs(times)))!r} "
@@ -182,32 +185,19 @@ def _uniform_step(ts: np.ndarray):
     return h if deviation <= _GRID_TOL * np.max(np.abs(ts)) else None  # written so that nan fails
 
 
-def _phase_tables(g: np.ndarray, ts: np.ndarray, lattice: LatticeSpec):
-    """The tables of a uniform grid t_k = t₀ + k·h, with B = ⌈√n⌉ and k = a·B + b:
-    coarse rows g·exp(−i q t_{aB}) and fine rows exp(−i q b h), q = p²/2m, both
-    in np.fft order, so the FFT input of sample k is the row product
-    coarse[a] · fine[b].  None, for the per-sample phases, when the grid is
-    not uniform (_uniform_step), when the tables would hold more than
-    _TABLE_ELEMENTS values, or when a table row or the phase at the largest
-    |t| is not finite (a zero mass makes every phase nan): the per-sample
-    step then raises its error for the first block whose phase is not
-    finite.  Every phase is finite if the one at the largest |t| is.
-    """
+def _fine_rows(ts: np.ndarray, lattice: LatticeSpec):
+    """The fine rows exp(−i q b h), b < B = min(⌈√n⌉, _BLOCK_ELEMENTS // M) and q = p²/2m in np.fft
+    order, of a uniform grid t_k = t₀ + k·h (_uniform_step).  None, for one phase per sample, when
+    the grid is not uniform, when B < 2, or when a fine row or the phase at the largest |t|, and so
+    every phase, is not finite (as at a zero mass): the per-sample step then raises its error."""
     h = _uniform_step(ts)
     if h is None:
         return None
-    n = len(ts)
-    B = math.isqrt(n - 1) + 1
-    coarse_times = ts[::B]
-    if (len(coarse_times) + B) * lattice.num_sites > _TABLE_ELEMENTS:
+    B = min(math.isqrt(len(ts) - 1) + 1, _BLOCK_ELEMENTS // lattice.num_sites)
+    if B < 2 or not np.isfinite(_phases(ts[[np.argmax(np.abs(ts))]], lattice)).all():
         return None
-    fine_times = np.arange(B) * h
-    tables = _phases(np.concatenate([coarse_times, fine_times, ts[[np.argmax(np.abs(ts))]]]), lattice)
-    if not np.isfinite(tables).all():
-        return None
-    coarse, fine = tables[:len(coarse_times)], tables[len(coarse_times):-1]
-    coarse *= g  # in place, in one array with the fine rows
-    return coarse, fine
+    fine = _phases(np.arange(B) * h, lattice)
+    return fine if np.isfinite(fine).all() else None
 
 
 def _block_rows(n: int, num_sites: int, group: int = 1) -> int:
@@ -216,14 +206,16 @@ def _block_rows(n: int, num_sites: int, group: int = 1) -> int:
     return max(1, min((_BLOCK_ELEMENTS // num_sites) // group, -(-n // group))) * group
 
 
-def _block_moments(u: np.ndarray, p: np.ndarray, x: np.ndarray, x2: np.ndarray, scale: float):
+def _block_moments(u: np.ndarray, p: np.ndarray, x: np.ndarray, x2: np.ndarray, scale: float,
+                   ft: np.ndarray, pf: np.ndarray):
     """⟨X⟩, ⟨X²⟩ and ⟨C⟩ = Re⟨X f, P f⟩ as lists, one entry per row of the (rows × M) FFT inputs
-    u, which this overwrites: f and P f are scale · ifft(u) and scale · ifft(p · u).  Once f is
-    out, u holds p · u in place; then, as two real arrays, |f|² and x·|f|² or x²·|f|²; then x·f.
-    ⟨C⟩ takes one np.vdot per row, because a row sum would add the products in another order."""
-    ft = np.fft.ifft(u, axis=1)
+    u, which this overwrites: f and P f are scale · ifft(u) and scale · ifft(p · u), written into
+    the first rows of the buffers ft and pf.  Once f is out, u holds p · u in place; then, as two
+    real arrays, |f|² and x·|f|² or x²·|f|²; then x·f.  ⟨C⟩ takes one np.vdot per row, because a
+    row sum would add the products in another order."""
+    ft = np.fft.ifft(u, axis=1, out=ft[:len(u)])
     ft *= scale
-    pf = np.fft.ifft(np.multiply(p, u, out=u), axis=1)
+    pf = np.fft.ifft(np.multiply(p, u, out=u), axis=1, out=pf[:len(u)])
     pf *= scale
     fdens, weighted = u.reshape(-1).view(float).reshape(2, *u.shape)
     np.square(np.abs(ft, out=fdens), out=fdens)
@@ -236,24 +228,23 @@ def _block_moments(u: np.ndarray, p: np.ndarray, x: np.ndarray, x2: np.ndarray, 
 def trajectory(f0: WaveAmplitude, times):
     """Observable records along the exact evolution on f0's own lattice, one per sample time.
 
-    Blocks of sample times go through one inverse FFT for f and one for
-    P f, with the expectations as row sums.  On a uniform grid
-    (_uniform_step) a block is whole coarse rows of the two _phase_tables,
-    rows = max(1, (_BLOCK_ELEMENTS // M) // B)·B times at most, and its
-    FFT input is one broadcast product of the tables; any other times, and
-    tables over their budget, go in blocks of max(1, _BLOCK_ELEMENTS // M)
-    times and take one half-spectrum exp per sample, whose f and P f are
-    bit-identical to evolving each sample alone.  The table phases differ
-    from those by a few ε·|p² t / 2m| per mode, and
-    tests/dynamics_oracles.py derives the bound this puts on every record
-    field.  |phase| = 1 leaves |g|² unchanged, so ⟨P⟩, ⟨H⟩ and ΔP come
+    Blocks of rows = max(1, (_BLOCK_ELEMENTS // M) // B)·B sample times go
+    through one inverse FFT for f and one for P f, with the expectations as
+    row sums.  Where _fine_rows gives B ≥ 2 rows, sample k = a·B + b has the
+    FFT input coarse[a]·fine[b], and each block builds its coarse rows
+    exp(−i q t_{aB})·g.  Other times take B = 1 and one half-spectrum exp
+    per sample, whose f and P f are bit-identical to evolving each sample
+    alone.  The row products differ from those by a few ε·|p² t / 2m| per
+    mode; tests/dynamics_oracles.py derives the bound this puts on every
+    record field.  |phase| = 1 leaves |g|² unchanged, so ⟨P⟩, ⟨H⟩ and ΔP come
     once from |g₀|² and are the same in every record.
 
-    Memory: the tables (at most _TABLE_ELEMENTS complex values), four
-    arrays of a block's rows × M complex values and four of M.  A block
-    holds its FFT input, which _block_moments reuses for every
-    intermediate, and the two FFT outputs; on the table path the FFT
-    input is one buffer that serves every block of the call.
+    Memory: the fine rows (at most _BLOCK_ELEMENTS complex values), three
+    arrays of a block's rows × M complex values, the coarse rows (a 1/B
+    share of a block), half-spectrum phases of half that share and four
+    arrays of M.  The three are a block's FFT input, which _block_moments
+    reuses for every intermediate, and its two FFT outputs; they and the
+    coarse rows are buffers that serve every block of the call.
 
     Raises SeamError naming the first sample time at which the packet
     center comes within 8 measured widths of the periodic boundary.
@@ -270,23 +261,26 @@ def trajectory(f0: WaveAmplitude, times):
     del w
     dp = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
     ts = _real_times(times)
-    tables = _phase_tables(g, ts, lattice)
-    B = 1 if tables is None else len(tables[1])
+    fine = _fine_rows(ts, lattice)
+    B = 1 if fine is None else len(fine)
     rows = _block_rows(len(ts), M, B)
-    if tables is not None:
-        coarse, fine = tables
-        product = np.empty((rows // B, B, M), dtype=complex)
+    inputs, ft, pf = np.empty((3, rows, M), dtype=complex)  # a block's FFT input and outputs
+    if fine is not None:
+        coarse = np.empty((rows // B, M), dtype=complex)
     records = []
     for lo in range(0, len(ts), rows):
         block = ts[lo:lo + rows]
-        if tables is None:
-            u = _evolved_momenta(g, block, lattice)
+        # numpy's complex product is not bitwise commutative, so each path keeps its operand
+        # order: g · phase per sample, which evolve shares, and phase · g for the coarse rows
+        if fine is None:
+            u = _evolved_momenta(g, block, lattice, inputs[:len(block)])
         else:
-            filled = product[:-(-len(block) // B)]  # the coarse rows this block's times start
-            np.multiply(coarse[lo // B:lo // B + len(filled), None, :], fine[None, :, :], out=filled)
+            a = _phases(block[::B], lattice, coarse[:-(-len(block) // B)])
+            a *= g
+            filled = inputs.reshape(-1, B, M)[:len(a)]
+            np.multiply(a[:, None, :], fine[None, :, :], out=filled)
             u = filled.reshape(-1, M)[:len(block)]
-        moments = _block_moments(u, p, x, x2, np.sqrt(M))
-        del u  # a per-sample u is not held while the next is computed
+        moments = _block_moments(u, p, x, x2, np.sqrt(M), ft, pf)
         for t, mean_x, mean_x2, mean_c in zip(block.tolist(), *moments):
             rec = TrajectoryRecord(
                 t=t,

@@ -33,6 +33,7 @@ from .fock import (
     Statistics,
     _index_arg,
     _integer,
+    _real,
     _real_array,
     annihilate,
     create,
@@ -58,11 +59,11 @@ class LatticeSpec:
         object.__setattr__(self, "num_sites", _integer("num_sites", self.num_sites))
         if self.num_sites < 2 or self.num_sites % 2:
             raise ValueError("num_sites must be even and >= 2")
-        if not self.spacing > 0:  # written so that nan fails, as below
+        if not _real("spacing", self.spacing) > 0:  # written so that nan fails, as below
             raise ValueError("spacing must be positive")
         if not math.isfinite(self.spacing):
             raise ValueError(f"spacing must be finite, got {self.spacing!r}")
-        if not self.mass >= 0:
+        if not _real("mass", self.mass) >= 0:
             raise ValueError("mass must be nonnegative")
 
     @property
@@ -273,8 +274,10 @@ def coherent_state(mode_amplitudes, mode_space: ModeSpace) -> FockVector:
 
     Built from truncated Poisson amplitudes α^n/√(n!) per mode and then
     normalized, so ⟨N⟩ matches Σ|α|² up to the (tiny) discarded tail.
-    Requires nmax ≥ max(12, ⌈8|α|²⌉) per mode to keep the eigen-residual
-    at the 1e-6 scale.  Undefined for fermions.
+    Requires nmax ≥ max(12, ⌈8|α|²⌉) per mode.  The truncation leaves the
+    eigen-residual ‖(A_α − α_α)v‖ = |α_α|·|c_nmax|, with c_nmax the mode's
+    normalized amplitude at n = nmax: 1.824e-6 at α 0.8 and nmax 12.
+    Undefined for fermions.
     """
     if mode_space.statistics is not Statistics.BOSE:
         raise ValueError("coherent states are defined for Bose statistics only")

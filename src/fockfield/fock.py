@@ -79,13 +79,21 @@ _FERMI = Statistics.FERMI
 
 def _integer(name: str, value) -> int:
     """value as an int: an integral value such as 2.0 or a numpy integer
-    passes, anything else (2.5, nan, inf, a string) raises ValueError naming it."""
+    passes, anything else (2.5, nan, inf, a string, a bool) raises ValueError naming it."""
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value):
+    """value itself if it is a real number (numbers.Real: int, float, Fraction and the numpy
+    reals, but not a bool); anything else (a string, None, complex) raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def _index_arg(name: str, value) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_TOL, _integer
+from .fock import NORM_TOL, _integer, _real
 
 GENERATOR_NAME = "numpy.random.PCG64"
 SCHMIDT_CUTOFF = 1e-12
@@ -132,18 +132,36 @@ class MeasurementModel:
     def __post_init__(self):
         if len(self.eigenvalues) != len(self.amplitudes):
             raise ValueError("eigenvalues and amplitudes must have equal length")
-        if not self.apparatus_energy > 0:
-            raise ValueError(f"apparatus_energy must be > 0, got {self.apparatus_energy!r}")
+        _vector("amplitudes", self.amplitudes)
+        _check_apparatus_energy(self.apparatus_energy)
         total = sum(abs(a) ** 2 for a in self.amplitudes)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"amplitudes must be normalized (Σ|f|² = {float(total)!r})")
 
 
+def _vector(name: str, values) -> np.ndarray:
+    """values as a 1-D complex array.  Raises ValueError naming it where an entry is not a real or
+    complex number (numpy's cast would read text, make None nan and a bool 1) or where the values
+    are not one vector."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        v = None
+    if v is None or v.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be a vector of real or complex numbers")
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
+    return v.astype(complex)
+
+
+def _check_apparatus_energy(value) -> None:
+    if not _real("apparatus_energy", value) > 0:  # written so that nan fails
+        raise ValueError(f"apparatus_energy must be > 0, got {value!r}")
+
+
 def born_distribution(amplitudes) -> np.ndarray:
     """ρ(λ) = |⟨φ_λ, ψ⟩|², the empirically testable weight of each outcome."""
-    f = np.asarray(amplitudes, dtype=complex)
-    if f.ndim != 1:
-        raise ValueError(f"amplitudes must be a 1-D vector, got shape {f.shape}")
+    f = _vector("amplitudes", amplitudes)
     total = float(np.sum(np.abs(f) ** 2))
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitudes must be normalized (Σ|f|² = {total!r})")
@@ -157,13 +175,13 @@ def entangled_pair(phi1, phi2, psi1, psi2) -> BipartiteState:
     overlaps.  An anti-parallel duplicate pair (zero superposition) is
     rejected.
     """
-    phi1, phi2 = np.asarray(phi1, dtype=complex), np.asarray(phi2, dtype=complex)
-    psi1, psi2 = np.asarray(psi1, dtype=complex), np.asarray(psi2, dtype=complex)
+    vectors = []
     for name, v in (("phi1", phi1), ("phi2", phi2), ("psi1", psi1), ("psi2", psi2)):
-        if v.ndim != 1:
-            raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
+        v = _vector(name, v)
         if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
+        vectors.append(v)
+    phi1, phi2, psi1, psi2 = vectors
     for name, v, like, first in (("phi2", phi2, "phi1", phi1), ("psi2", psi2, "psi1", psi1)):
         if v.size != first.size:
             raise ValueError(f"{name} must have length {first.size}, as {like} does, got {v.size}")
@@ -253,8 +271,7 @@ def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
 def decoherence_time(apparatus_energy: float) -> float:
     """ħ/E_A in natural units: macroscopic apparatus energies make this
     extremely short."""
-    if not apparatus_energy > 0:
-        raise ValueError(f"apparatus_energy must be > 0, got {apparatus_energy!r}")
+    _check_apparatus_energy(apparatus_energy)
     return 1.0 / apparatus_energy
 
 
@@ -282,10 +299,14 @@ def sample_outcomes(rho: DensityMatrix, n: int, seed: int) -> np.ndarray:
 
 def pointer_outcome_counts(counts: np.ndarray, dims) -> np.ndarray:
     """Fold flat product-space counts onto the pointer diagonal (λ, λ)."""
+    if not isinstance(counts, np.ndarray):
+        raise ValueError(f"counts must be a numpy array, got {type(counts).__name__}")
     try:
         d_a, d_b = dims
     except (TypeError, ValueError):  # not iterable, or not two entries
         raise ValueError(f"dims must be a pair (d_a, d_b), got {dims!r}") from None
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0 for d in (d_a, d_b)):
+        raise ValueError(f"dims must be positive integers, got {dims!r}")
     if np.size(counts) != d_a * d_b:
         raise ValueError(f"counts has {np.size(counts)} entries, but dims {tuple(dims)} need {d_a * d_b}")
     return counts.reshape(d_a, d_b).diagonal().copy()

@@ -3,11 +3,12 @@
 ``trajectory_per_sample`` evolves one sample time at a time, each through
 its own full-spectrum phase exponential and 1-D inverse FFT.
 ``fockfield.dynamics.trajectory`` takes the phases of a uniform time grid
-from a product of two tables and ⟨P⟩, ⟨H⟩ and ΔP from |g₀|² once, so it
-rounds differently; every record field must equal the oracle's within
-``trajectory_rounding_bound``, and t bit for bit.  On any other times its
-per-sample fallback keeps the oracle's f and P f, so there mean_x,
-mean_x2, mean_c and dx equal the oracle's bit for bit.
+as row products of coarse and fine phase rows and ⟨P⟩, ⟨H⟩ and ΔP from
+|g₀|² once, so it rounds differently; every record field must equal the
+oracle's within ``trajectory_rounding_bound``, and t bit for bit.  On any
+other times its per-sample path keeps the oracle's f and P f at M up to
+4096, so there mean_x, mean_x2, mean_c and dx equal the oracle's bit for
+bit; from M 16,384 up, mean_c and mean_x2 can differ in the last bit.
 ``fft_input_per_roundtrip`` is a packet's FFT input the long way, through
 ``fockfield.field.to_momentum`` and back into np.fft order.
 ``build_observables`` assembles dense X, P, H, C matrices, which grow as

@@ -1,5 +1,4 @@
 import inspect
-import math
 import re
 import tracemalloc
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynamics_oracles import (
     EPS,
@@ -380,16 +380,17 @@ def test_property_blocked_trajectory_equals_per_sample_bitwise(case):
 
 
 def paths_taken(monkeypatch):
-    """Record, per trajectory call, whether it took the phase tables."""
+    """Record, per trajectory call, whether it took the phase tables: the fine rows of _fine_rows
+    and a block's coarse rows, or one phase per sample."""
     taken = []
-    tables = dynamics._phase_tables
+    fine_rows = dynamics._fine_rows
 
     def spy(*args):
-        result = tables(*args)
+        result = fine_rows(*args)
         taken.append("tables" if result is not None else "per-sample")
         return result
 
-    monkeypatch.setattr(dynamics, "_phase_tables", spy)
+    monkeypatch.setattr(dynamics, "_fine_rows", spy)
     return taken
 
 
@@ -419,7 +420,7 @@ def test_phase_tables_match_the_per_sample_fallback_within_the_rounding_bound(wh
     packet = uniform_grid_packet(which)
     taken = paths_taken(monkeypatch)
     fast = trajectory(packet, times)
-    monkeypatch.setattr(dynamics, "_TABLE_ELEMENTS", 0)  # tables over their budget: the fallback
+    monkeypatch.setattr(dynamics, "_BLOCK_ELEMENTS", packet.lattice.num_sites)  # B = 1: the fallback
     slow = trajectory(packet, times)
     assert taken == ["tables", "per-sample"]
     want = records_per_sample(packet, times, packet.lattice)
@@ -428,6 +429,15 @@ def test_phase_tables_match_the_per_sample_fallback_within_the_rounding_bound(wh
             assert abs(getattr(a, name) - getattr(b, name)) <= getattr(bound, name), (name, rec.t)
         # the fallback keeps the per-sample f and P f
         assert [getattr(b, name).hex() for name in F_COLUMNS] == [getattr(rec, name).hex() for name in F_COLUMNS]
+
+
+def test_a_wide_lattice_takes_the_fine_rows_in_blocks_of_two_and_matches_the_oracle(monkeypatch):
+    # wavepacket --M 65536 --times 0:50:0.5: B = min(11, _BLOCK_ELEMENTS // M) = 2, so the fine rows
+    # hold one block, where ⌈101/11⌉ + 11 coarse and fine rows would hold ten
+    packet = gaussian_packet(LatticeSpec(1 << 16, 1.0, 1.0), 0.0, 0.0, 8.0)
+    taken = paths_taken(monkeypatch)
+    assert_trajectory_matches_oracle(packet, _parse_times("0:50:0.5"))
+    assert taken == ["tables"]
 
 
 NUDGE = [k / 10 for k in range(11)]  # max|t| = 1, so the rule allows 4 eps
@@ -486,28 +496,32 @@ def test_momentum_columns_are_exactly_constant_along_a_trajectory(times):
 
 
 @pytest.mark.parametrize("M, n, step, sigma0, seam", [
-    (1 << 16, 2000, 1e4, 2.0, "t=20000"),  # tables over their budget; the seam stops it at the third sample
-    (1 << 16, 3, 1e4, 2.0, "t=20000"),  # tables at their budget, in blocks of B = 2 rows
+    (1 << 16, 2000, 1e4, 2.0, "t=20000"),  # B = 2 by the block cap; the seam stops it at the third sample
+    (1 << 16, 3, 1e4, 2.0, "t=20000"),  # B = 2, at the block cap
     (4096, 501, 0.1, 40.0, None),  # the benchmark's heavy wavepacket, through the tables
+    (1 << 16, 101, 0.5, 8.0, None),  # wavepacket --M 65536: blocks of B = 2 rows
 ])
 def test_trajectory_memory_stays_within_the_tables_and_four_block_arrays(M, n, step, sigma0, seam, monkeypatch):
-    # the budget trajectory's docstring states: the tables, four arrays of a block's rows x M complex
-    # values and four of M.  Any tables are built before the first block, so stopping at the seam
-    # still measures them.
+    # within the budget trajectory's docstring states: the fine rows (at most one block), three
+    # arrays of a block's rows x M complex values, the coarse rows and their phases (at most 1.5
+    # more) and four arrays of M.  The fine rows are built before the first block, so stopping at
+    # the seam still measures them.
     packet = gaussian_packet(LatticeSpec(M, 1.0, 1.0), 0.0, 0.0, sigma0)
+    times = np.arange(n) * step
     taken = paths_taken(monkeypatch)
     tracemalloc.start()
     try:
         if seam:
             with pytest.raises(SeamError, match=f"at {seam}$"):
-                trajectory(packet, np.arange(n) * step)
+                trajectory(packet, times)
         else:
-            assert len(trajectory(packet, np.arange(n) * step)) == n
+            assert len(trajectory(packet, times)) == n
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = dynamics._block_rows(n, M, math.isqrt(n - 1) + 1 if taken == ["tables"] else 1)
-    assert peak <= 16 * (dynamics._TABLE_ELEMENTS + (4 * rows + 4) * M)
+    assert taken == ["tables"]
+    rows = dynamics._block_rows(n, M, len(dynamics._fine_rows(times, packet.lattice)))
+    assert peak <= 16 * (2 * dynamics._BLOCK_ELEMENTS + (4 * rows + 4) * M)
 
 
 @pytest.mark.parametrize("M", [64, 256, 4096])
@@ -585,8 +599,8 @@ def fft_input_cases(draw):
     M = 2 * draw(st.integers(1, 64))
     lattice = LatticeSpec(M, draw(st.sampled_from((1.0, 0.3))), 1.0)
     part = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -0.5)), st.floats(-10.0, 10.0))
-    re_part = np.array(draw(st.lists(part, min_size=M, max_size=M)))
-    im_part = np.array(draw(st.lists(part, min_size=M, max_size=M)))
+    re_part = draw(arrays(float, M, elements=part))
+    im_part = draw(arrays(float, M, elements=part))
     kind = draw(st.sampled_from(("complex", "real-symmetric", "half-zero")))
     if kind == "real-symmetric":  # f(x) = f(-x): x_j = -x_(M-j), so the transform is real
         return WaveAmplitude(re_part + re_part[-np.arange(M)], lattice)

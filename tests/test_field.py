@@ -692,6 +692,10 @@ def test_number_density_rejects_a_non_integral_site_naming_it():
     ((NAN, 1.0, 1.0), "num_sites must be an integer, got nan"),
     (("8", 1.0, 1.0), "num_sites must be an integer, got '8'"),
     ((7, 1.0, 1.0), "num_sites must be even and >= 2"),
+    ((8, "1", 1.0), "spacing must be a real number, got '1'"),
+    ((8, 1.0, "1"), "mass must be a real number, got '1'"),
+    ((8, 1.0, None), "mass must be a real number, got None"),
+    ((True, 1.0, 1.0), "num_sites must be an integer, got True"),
 ])
 def test_lattice_rejects_an_infinite_spacing_and_a_non_integral_size(args, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):

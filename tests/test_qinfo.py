@@ -514,3 +514,37 @@ def test_arguments_of_the_wrong_shape_are_named_with_the_shape_they_need(call, m
     # dims leaked Python's unpacking messages
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pointer_outcome_counts([1, 2, 3, 4], (2, 2)), "counts must be a numpy array, got list"),
+    (lambda: pointer_outcome_counts(np.arange(4), (2.0, 2.0)), "dims must be positive integers, got (2.0, 2.0)"),
+    (lambda: pointer_outcome_counts(np.arange(4), ("a", "b")), "dims must be positive integers, got ('a', 'b')"),
+    (lambda: pointer_outcome_counts(np.arange(4), (-2, -2)), "dims must be positive integers, got (-2, -2)"),
+    (lambda: born_distribution(["a", "b"]), "amplitudes must be a vector of real or complex numbers"),
+    (lambda: born_distribution([None, 1.0]), "amplitudes must be a vector of real or complex numbers"),
+    (lambda: born_distribution([[1.0], [0.0, 1.0]]), "amplitudes must be a vector of real or complex numbers"),
+    (lambda: entangled_pair(["a", "b"], E1, E0, E1), "phi1 must be a vector of real or complex numbers"),
+    (lambda: entangled_pair(E0, E1, E0, [None, 1.0]), "psi2 must be a vector of real or complex numbers"),
+], ids=["counts-list", "dims-float", "dims-text", "dims-negative", "born-text", "born-none", "born-ragged",
+        "entangled-text", "entangled-none"])
+def test_counts_dims_and_vectors_that_are_not_numbers_raise_naming_them(call, message):
+    # a list's missing reshape, Python's int and sequence messages, numpy's reshape and malformed-string
+    # messages once leaked here, and None became nan
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rho: sample_outcomes(rho, True, 0), "n must be an integer, got True"),
+    (lambda rho: sample_outcomes(rho, 10, np.True_), "seed must be an integer, got np.True_"),
+    (lambda rho: MeasurementModel((0,), ("1",), 1.0), "amplitudes must be a vector of real or complex numbers"),
+    (lambda rho: MeasurementModel((0,), (1.0,), "1"), "apparatus_energy must be a real number, got '1'"),
+    (lambda rho: decoherence_time("1"), "apparatus_energy must be a real number, got '1'"),
+    (lambda rho: decoherence_time(1j), "apparatus_energy must be a real number, got 1j"),
+], ids=["n-bool", "seed-bool", "model-text-amplitude", "model-text-energy", "time-text", "time-complex"])
+def test_bools_text_and_complex_scalars_raise_naming_them(call, message):
+    # a bool was taken as the count 1, and the comparisons with 0 leaked a TypeError
+    rho = decohere(premeasure(MeasurementModel((0, 1), (0.6, 0.8), 1.0)))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call(rho)
