@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import LatticeSpec, WaveAmplitude
-from .fock import _BLOCK_ELEMENTS, _real_array
+from .fock import _BLOCK_ELEMENTS, _numbers
 
 _GRID_TOL = 4 * np.finfo(float).eps  # of max|t|: how far a uniform grid's times may sit from t₀ + k·h
 
@@ -77,8 +77,11 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
     The chirp tilts the position-momentum correlation: ⟨C⟩ = −chirp/2, so
     a positive chirp prepares a shrinking packet.  Requires σ₀ ≥ 2Δx (to
     resolve the profile), x0 at least 8σ₀ from the periodic seam, a
-    finite (x−x0)²/4σ₀² and a phase that is finite at every site.
+    finite (x−x0)²/4σ₀² and a phase that is finite at every site.  Each
+    parameter must be a real number (fock._numbers).
     """
+    x0, p0, sigma0, chirp = (float(_numbers(name, value)) for name, value in
+                             (("x0", x0), ("p0", p0), ("sigma0", sigma0), ("chirp", chirp)))
     if sigma0 < 2 * lattice.spacing:
         raise ValueError(f"sigma0 {sigma0} too narrow; need >= 2 spacing = {2 * lattice.spacing}")
     half = lattice.length / 2
@@ -100,37 +103,45 @@ def gaussian_packet(lattice: LatticeSpec, x0: float, p0: float, sigma0: float,
     return WaveAmplitude(f / np.linalg.norm(f), lattice)
 
 
-def _phases(times: np.ndarray, lattice: LatticeSpec, out=None) -> np.ndarray:
+def _phase_rates(lattice: LatticeSpec) -> np.ndarray:
+    """−i p² for k = 0, −1, .., −M/2: the half spectrum of the exponent −i p² t / 2m before its
+    factors t and 1/2m, which _phases spreads over the np.fft slots.  Built once per evolve or
+    trajectory call."""
+    return -1j * lattice.momenta[lattice.num_sites // 2::-1] ** 2
+
+
+def _phases(times: np.ndarray, rates: np.ndarray, lattice: LatticeSpec, out=None) -> np.ndarray:
     """exp(−i p² t / 2m) in np.fft order, one row per entry of the 1-D float
-    array times, into out when given; nan or inf where it is not finite.
+    array times, with rates = _phase_rates(lattice), into out when given;
+    nan or inf where it is not finite.
 
     The momenta are exactly sign-symmetric, so p and −p have bit-equal p²:
     one complex exp per time and |k| = 0 .. M/2, spread over the M slots,
     where np.fft slot i holds |k| = min(i, M − i).
     """
     M = lattice.num_sites
-    q = lattice.momenta[M // 2::-1] ** 2  # k = 0, −1, .., −M/2
+    u = np.empty((len(times), M), dtype=complex) if out is None else out
+    half = u[:, :M // 2 + 1]
     with np.errstate(all="ignore"):  # a phase that is not finite makes its exponential nan, reported by callers
-        half = -1j * q * times[:, None]
+        np.multiply(rates, times[:, None], out=half)
         half /= 2 * lattice.mass
         np.exp(half, out=half)
-    u = np.empty((len(times), M), dtype=complex) if out is None else out
-    u[:, :M // 2 + 1] = half
     u[:, M // 2 + 1:] = half[:, M // 2 - 1:0:-1]
     return u
 
 
-def _evolved_momenta(g: np.ndarray, times: np.ndarray, lattice: LatticeSpec, out=None) -> np.ndarray:
+def _evolved_momenta(g: np.ndarray, times: np.ndarray, rates: np.ndarray, lattice: LatticeSpec,
+                     out=None) -> np.ndarray:
     """FFT inputs g·exp(−i p² t / 2m), one row per entry of the 1-D float
     array times, into out when given, with g a momentum amplitude in np.fft
-    order (_fft_input).
+    order (_fft_input) and rates = _phase_rates(lattice).
 
     Raises ValueError for a mass that is not positive, or when p² t / 2m
     is not finite for some mode and time, so no evolved value is nan.
     """
     if lattice.mass <= 0:
         raise ValueError("mass must be positive")
-    u = _phases(times, lattice, out)
+    u = _phases(times, rates, lattice, out)
     if not np.isfinite(u).all():
         raise ValueError(
             f"the phase p^2 t / 2m is not finite for times up to {float(np.max(np.abs(times)))!r} "
@@ -146,25 +157,13 @@ def _fft_input(f: WaveAmplitude):
     return np.fft.fft(f.values) / np.sqrt(lattice.num_sites), np.fft.ifftshift(lattice.momenta)
 
 
-def _real_times(times, error: str = "times must be a 1-D sequence of real numbers") -> np.ndarray:
-    """times as a 1-D float array.  Raises ValueError(error) where it is not a sequence, an entry is
-    a sequence itself, or an entry is not a real number (fock._real_array)."""
-    try:
-        times = list(times)
-    except TypeError:
-        raise ValueError(error) from None
-    ts = _real_array(times, error)
-    if ts.ndim != 1:
-        raise ValueError(error)
-    return ts
-
-
 def evolve(f: WaveAmplitude, t: float) -> WaveAmplitude:
     """Exact free evolution on f's own lattice, by phase multiplication in momentum space.
 
     Unitary for every real t; the momentum distribution is invariant.
     """
-    u = _evolved_momenta(_fft_input(f)[0], _real_times([t], "t must be a real number"), f.lattice)[0]
+    ts = _numbers("t", t).reshape(1)
+    u = _evolved_momenta(_fft_input(f)[0], ts, _phase_rates(f.lattice), f.lattice)[0]
     return WaveAmplitude(np.fft.ifft(u) * np.sqrt(f.lattice.num_sites), f.lattice)
 
 
@@ -185,18 +184,19 @@ def _uniform_step(ts: np.ndarray):
     return h if deviation <= _GRID_TOL * np.max(np.abs(ts)) else None  # written so that nan fails
 
 
-def _fine_rows(ts: np.ndarray, lattice: LatticeSpec):
-    """The fine rows exp(−i q b h), b < B = min(⌈√n⌉, _BLOCK_ELEMENTS // M) and q = p²/2m in np.fft
-    order, of a uniform grid t_k = t₀ + k·h (_uniform_step).  None, for one phase per sample, when
-    the grid is not uniform, when B < 2, or when a fine row or the phase at the largest |t|, and so
-    every phase, is not finite (as at a zero mass): the per-sample step then raises its error."""
+def _fine_rows(ts: np.ndarray, rates: np.ndarray, lattice: LatticeSpec):
+    """The fine rows exp(−i p² b h / 2m), b < B = min(⌈√n⌉, _BLOCK_ELEMENTS // M), in np.fft order,
+    of a uniform grid t_k = t₀ + k·h (_uniform_step), with rates = _phase_rates(lattice).  None,
+    for one phase per sample, when the grid is not uniform, when B < 2, or when a fine row or the
+    phase at the largest |t|, and so every phase, is not finite (as at a zero mass): the per-sample
+    step then raises its error."""
     h = _uniform_step(ts)
     if h is None:
         return None
     B = min(math.isqrt(len(ts) - 1) + 1, _BLOCK_ELEMENTS // lattice.num_sites)
-    if B < 2 or not np.isfinite(_phases(ts[[np.argmax(np.abs(ts))]], lattice)).all():
+    if B < 2 or not np.isfinite(_phases(ts[[np.argmax(np.abs(ts))]], rates, lattice)).all():
         return None
-    fine = _phases(np.arange(B) * h, lattice)
+    fine = _phases(np.arange(B) * h, rates, lattice)
     return fine if np.isfinite(fine).all() else None
 
 
@@ -232,7 +232,7 @@ def trajectory(f0: WaveAmplitude, times):
     through one inverse FFT for f and one for P f, with the expectations as
     row sums.  Where _fine_rows gives B ≥ 2 rows, sample k = a·B + b has the
     FFT input coarse[a]·fine[b], and each block builds its coarse rows
-    exp(−i q t_{aB})·g.  Other times take B = 1 and one half-spectrum exp
+    exp(−i p² t_{aB} / 2m)·g.  Other times take B = 1 and one half-spectrum exp
     per sample, whose f and P f are bit-identical to evolving each sample
     alone.  The row products differ from those by a few ε·|p² t / 2m| per
     mode; tests/dynamics_oracles.py derives the bound this puts on every
@@ -241,10 +241,11 @@ def trajectory(f0: WaveAmplitude, times):
 
     Memory: the fine rows (at most _BLOCK_ELEMENTS complex values), three
     arrays of a block's rows × M complex values, the coarse rows (a 1/B
-    share of a block), half-spectrum phases of half that share and four
-    arrays of M.  The three are a block's FFT input, which _block_moments
+    share of a block) and four arrays of M, the half-spectrum phase rates
+    among them.  The three are a block's FFT input, which _block_moments
     reuses for every intermediate, and its two FFT outputs; they and the
-    coarse rows are buffers that serve every block of the call.
+    coarse rows are buffers that serve every block of the call, and each
+    row's half-spectrum phases are computed in its own buffer row.
 
     Raises SeamError naming the first sample time at which the packet
     center comes within 8 measured widths of the periodic boundary.
@@ -260,8 +261,9 @@ def trajectory(f0: WaveAmplitude, times):
     mean_p2 = float(np.sum(p**2 * w))
     del w
     dp = float(np.sqrt(max(mean_p2 - mean_p**2, 0.0)))
-    ts = _real_times(times)
-    fine = _fine_rows(ts, lattice)
+    ts = _numbers("times", times, (None,))
+    rates = _phase_rates(lattice)
+    fine = _fine_rows(ts, rates, lattice)
     B = 1 if fine is None else len(fine)
     rows = _block_rows(len(ts), M, B)
     inputs, ft, pf = np.empty((3, rows, M), dtype=complex)  # a block's FFT input and outputs
@@ -273,9 +275,9 @@ def trajectory(f0: WaveAmplitude, times):
         # numpy's complex product is not bitwise commutative, so each path keeps its operand
         # order: g · phase per sample, which evolve shares, and phase · g for the coarse rows
         if fine is None:
-            u = _evolved_momenta(g, block, lattice, inputs[:len(block)])
+            u = _evolved_momenta(g, block, rates, lattice, inputs[:len(block)])
         else:
-            a = _phases(block[::B], lattice, coarse[:-(-len(block) // B)])
+            a = _phases(block[::B], rates, lattice, coarse[:-(-len(block) // B)])
             a *= g
             filled = inputs.reshape(-1, B, M)[:len(a)]
             np.multiply(a[:, None, :], fine[None, :, :], out=filled)
@@ -302,10 +304,10 @@ def ehrenfest_residuals(f0: WaveAmplitude, times) -> EhrenfestReport:
     """Central-difference check of d⟨X²⟩/dt = (2/m)⟨C⟩ and d⟨C⟩/dt = 2⟨H⟩
     along the trajectory of f0, with m its lattice's mass.
 
-    Needs at least three uniformly spaced times: every step within
-    1e-9·h of the first step h.  Residuals are maxima
-    over interior points, relative to the peak magnitude of the target
-    side, so a zero crossing of ⟨C⟩ does not blow up the report.  Raises
+    Needs at least three times on a uniform grid with a positive step h,
+    by trajectory's rule (_uniform_step), which also gives h.  Residuals
+    are maxima over interior points, relative to the peak magnitude of the
+    target side, so a zero crossing of ⟨C⟩ does not blow up the report.  Raises
     ValueError, before any evolution, for a mass that is not positive and
     finite, or whose 2/m overflows, and for times that are fewer than
     three, not finite or not uniformly spaced.
@@ -314,14 +316,11 @@ def ehrenfest_residuals(f0: WaveAmplitude, times) -> EhrenfestReport:
     # written so that nan fails; float() keeps a numpy mass from warning where 2/m overflows
     if not (0 < mass < math.inf and math.isfinite(2.0 / float(mass))):
         raise ValueError(f"mass must be positive and finite with a finite 2/mass, got {float(mass)!r}")
-    ts = _real_times(times)
+    ts = _numbers("times", times, (None,))
     if len(ts) < 3:
         raise ValueError(f"need at least 3 times for central differences, got {len(ts)}")
-    with np.errstate(invalid="ignore"):  # a time that is not finite makes a nan step, which fails below
-        steps = np.diff(ts)
-        h = steps[0]
-        uniform = h > 0 and np.max(np.abs(steps - h)) <= 1e-9 * h  # relative, so tiny steps are checked too
-    if not uniform:  # written so that nan fails
+    h = _uniform_step(ts)
+    if h is None or h <= 0:
         raise ValueError("times must be finite, increasing and uniformly spaced")
     records = trajectory(f0, ts)
     x2 = np.array([r.mean_x2 for r in records])

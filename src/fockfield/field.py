@@ -33,8 +33,8 @@ from .fock import (
     Statistics,
     _index_arg,
     _integer,
+    _numbers,
     _real,
-    _real_array,
     annihilate,
     create,
     inner,
@@ -124,9 +124,7 @@ class WaveAmplitude:
     lattice: LatticeSpec
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.lattice.num_sites,):
-            raise ValueError("values must have one entry per site")
+        self.values = _numbers("values", self.values, (self.lattice.num_sites,), complex)
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
 
@@ -152,9 +150,7 @@ class MomentumAmplitude:
     lattice: LatticeSpec
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.lattice.num_sites,):
-            raise ValueError("values must have one entry per momentum")
+        self.values = _numbers("values", self.values, (self.lattice.num_sites,), complex)
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
 
@@ -281,9 +277,7 @@ def coherent_state(mode_amplitudes, mode_space: ModeSpace) -> FockVector:
     """
     if mode_space.statistics is not Statistics.BOSE:
         raise ValueError("coherent states are defined for Bose statistics only")
-    alphas = np.asarray(mode_amplitudes, dtype=complex)
-    if alphas.shape != (mode_space.num_modes,):
-        raise ValueError("need one amplitude per mode")
+    alphas = _numbers("mode_amplitudes", mode_amplitudes, (mode_space.num_modes,), complex)
     if not np.isfinite(alphas).all():
         raise ValueError("mode_amplitudes must be finite")
     active = [m for m in range(mode_space.num_modes) if alphas[m] != 0.0]
@@ -336,11 +330,7 @@ def pauli_jordan(lattice: LatticeSpec, dt: float, dx: float, include_antiparticl
     should flag this in their metadata.  This is the one-pair case of
     commutator_sweep, so it raises ValueError where the phase is not finite.
     """
-    for name, value in (("dt", dt), ("dx", dx)):
-        error = f"{name} must be a real number, got {value!r}"
-        if _real_array(value, error).ndim != 0:
-            raise ValueError(error)
-    with_anti, without = commutator_sweep(lattice, [(dt, dx)])
+    with_anti, without = commutator_sweep(lattice, np.array([[_numbers("dt", dt), _numbers("dx", dx)]]))
     return complex((with_anti if include_antiparticles else without)[0])
 
 
@@ -356,6 +346,7 @@ def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0) -> np
     out at any margin: the two arange grids can differ by an ulp where
     dt == dx.
     """
+    cone_margin = float(_numbers("cone_margin", cone_margin))
     if not math.isfinite(cone_margin):  # nan or inf would drop the whole wedge without a word
         raise ValueError(f"cone_margin must be finite, got {cone_margin!r}")
     extent = lattice.length / 4.0
@@ -370,10 +361,10 @@ def default_spacelike_grid(lattice: LatticeSpec, cone_margin: float = 3.0) -> np
 def commutator_sweep(lattice: LatticeSpec, pairs):
     """The pauli_jordan mode sums over (dt, dx) pairs, with and without antiparticles.
 
-    pairs is a sequence of (dt, dx) pairs of real numbers or an (n, 2) float
-    array; anything else raises ValueError naming pairs.  Returns two 1-D
-    complex arrays, ``(with_antiparticles, without)``, each with one value
-    per pair in input order.  The mode sum factors as
+    pairs is an (n, 2) array of (dt, dx) pairs of real numbers, by the rule
+    of fock._numbers, or an empty sequence; anything else raises ValueError
+    naming pairs.  Returns two 1-D complex arrays, ``(with_antiparticles,
+    without)``, each with one value per pair in input order.  The mode sum factors as
     S = (1/M) Σ_k e^{ip_k·dx} · e^{−iω_k·dt}/2ω_k, so one table A holds
     e^{ip·dx} for each distinct dx and one table B holds e^{−iω·dt}/2ω for
     each distinct dt: one complex exp per distinct value and mode.  The
@@ -396,11 +387,9 @@ def commutator_sweep(lattice: LatticeSpec, pairs):
     the value is finite: the product of the two rounded factors.
     """
     w, p = _commutator_modes(lattice)
-    grid = _real_array(pairs, "pairs must be (dt, dx) pairs of real numbers")
-    if grid.shape == (0,):  # an empty sequence: no pairs
-        grid = grid.reshape(0, 2)
-    if grid.ndim != 2 or grid.shape[1] != 2:
-        raise ValueError(f"pairs must be (dt, dx) pairs of real numbers, as an (n, 2) array, got shape {grid.shape}")
+    if isinstance(pairs, (list, tuple)) and not pairs:  # an empty sequence, which numpy reads as shape (0,)
+        pairs = np.empty((0, 2))
+    grid = _numbers("pairs", pairs, (None, 2))
     # + 0.0 turns -0.0 into +0.0 (their B rows differ in the sign of zero imaginary parts), so the
     # rows a pair reads do not depend on which of the two zeros np.unique kept from the other pairs
     dts, ti = np.unique(grid[:, 0] + 0.0, return_inverse=True)

@@ -43,7 +43,6 @@ import functools
 import itertools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import index as _index
@@ -105,20 +104,38 @@ def _index_arg(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _real_array(values, error: str) -> np.ndarray:
-    """values as a float array.  Raises ValueError(error) where an entry is not a real number:
-    None (numpy's cast would make it nan), complex (the cast would drop the imaginary part with
-    only a warning), text that is not a number, an int beyond the float range, or rows of
-    different lengths."""
+def _numbers(name: str, values, shape=(), dtype=float) -> np.ndarray:
+    """values as a float64 (dtype float) or complex128 (dtype complex) array of the given shape,
+    in which None leaves a length open.
+
+    The rule is _real's: a number is a numbers.Real (numbers.Complex for dtype complex) that is not
+    a bool, such as an int, a float, a Fraction or a numpy number.  A numpy array or scalar passes
+    by its dtype kind (integer or float, or complex for dtype complex), with no loop over its
+    entries; anything else is read as an array of objects and each entry is checked, because
+    numpy's own read would take text, make None nan and a bool 1.  Text (numeric or not), None,
+    bools, Decimal, an integer beyond the float range and rows of different lengths raise
+    ValueError naming the argument; so does any other shape, with the needed and the actual shape.
+    A float64 or complex128 array of the given shape comes back as it is, not copied.
+    """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind != "O":
             array = np.asarray(values)
-            if array.dtype != object or all(value is not None for value in array.flat):
-                return array.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):
-        pass
-    raise ValueError(error)
+            numeric = array.dtype.kind in ("iuf" if dtype is float else "iufc")
+        else:
+            array = np.asarray(values, dtype=object)
+            number = numbers.Real if dtype is float else numbers.Complex
+            numeric = all(isinstance(v, number) and not isinstance(v, bool) for v in array.flat)
+        if numeric:
+            array = array.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):  # rows numpy cannot hold, an int beyond the float range
+        numeric = False
+    if not numeric:
+        raise ValueError(f"{name} must hold only {'real' if dtype is float else 'real or complex'} numbers")
+    if array.shape != shape and (array.ndim != len(shape)
+                                 or any(n not in (None, m) for n, m in zip(shape, array.shape))):
+        needed = str(shape).replace("None", "n", 1).replace("None", "m")
+        raise ValueError(f"{name} must have shape {needed}, got {array.shape}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -521,9 +538,7 @@ def transformed_create(v: FockVector, coeffs, species: int = 0) -> FockVector:
     element; a coefficient that is not finite raises ValueError.
     """
     space = v.mode_space
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (space.num_modes,):
-        raise ValueError(f"expected {space.num_modes} coefficients, got {coeffs.shape}")
+    coeffs = _numbers("coeffs", coeffs, (space.num_modes,), complex)
     if not np.isfinite(coeffs).all():
         raise ValueError(f"coeffs must be finite, got {coeffs.tolist()!r}")
     base_slot = space.slot(0, species)
@@ -747,13 +762,13 @@ def two_particle_symmetrized(xi, eta, mode_space: ModeSpace) -> FockVector:
     ξ ∥ η the result is the null element (Pauli exclusion); that is a
     distinguished outcome, not an error.
     """
-    xi = np.asarray(xi, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
+    vectors = []
     for name, vec in (("xi", xi), ("eta", eta)):
-        if vec.shape != (mode_space.num_modes,):
-            raise ValueError(f"{name} must have one coefficient per mode")
+        vec = _numbers(name, vec, (mode_space.num_modes,), complex)
         if not abs(np.linalg.norm(vec) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
+        vectors.append(vec)
+    xi, eta = vectors
     w = transformed_create(transformed_create(vacuum(mode_space), eta), xi)
     n = w.norm
     if n < 1e-12:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NORM_TOL, _integer, _real
+from .fock import NORM_TOL, _integer, _numbers, _real
 
 GENERATOR_NAME = "numpy.random.PCG64"
 SCHMIDT_CUTOFF = 1e-12
@@ -31,9 +31,7 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 2:
-            raise ValueError("amplitudes must be a 2-D matrix")
+        self.amplitudes = _numbers("amplitudes", self.amplitudes, (None, None), complex)
         n = np.linalg.norm(self.amplitudes)
         if not abs(n - 1.0) <= NORM_TOL:  # written so that nan fails, like every check in this module
             raise ValueError(f"state must be normalized (norm = {float(n)!r})")
@@ -59,8 +57,8 @@ class DensityMatrix:
     """
 
     def __init__(self, rho):
-        rho = np.asarray(rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        rho = _numbers("rho", rho, (None, None), complex)
+        if rho.shape[0] != rho.shape[1]:
             raise ValueError("rho must be square")
         if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
             raise ValueError("rho must be Hermitian")
@@ -130,28 +128,12 @@ class MeasurementModel:
     apparatus_energy: float
 
     def __post_init__(self):
-        if len(self.eigenvalues) != len(self.amplitudes):
+        if len(self.eigenvalues) != len(_numbers("amplitudes", self.amplitudes, (None,), complex)):
             raise ValueError("eigenvalues and amplitudes must have equal length")
-        _vector("amplitudes", self.amplitudes)
         _check_apparatus_energy(self.apparatus_energy)
         total = sum(abs(a) ** 2 for a in self.amplitudes)
         if not abs(total - 1.0) <= NORM_TOL:
             raise ValueError(f"amplitudes must be normalized (Σ|f|² = {float(total)!r})")
-
-
-def _vector(name: str, values) -> np.ndarray:
-    """values as a 1-D complex array.  Raises ValueError naming it where an entry is not a real or
-    complex number (numpy's cast would read text, make None nan and a bool 1) or where the values
-    are not one vector."""
-    try:
-        v = np.asarray(values)
-    except ValueError:  # rows of different lengths
-        v = None
-    if v is None or v.dtype.kind not in "iufc":
-        raise ValueError(f"{name} must be a vector of real or complex numbers")
-    if v.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    return v.astype(complex)
 
 
 def _check_apparatus_energy(value) -> None:
@@ -161,7 +143,7 @@ def _check_apparatus_energy(value) -> None:
 
 def born_distribution(amplitudes) -> np.ndarray:
     """ρ(λ) = |⟨φ_λ, ψ⟩|², the empirically testable weight of each outcome."""
-    f = _vector("amplitudes", amplitudes)
+    f = _numbers("amplitudes", amplitudes, (None,), complex)
     total = float(np.sum(np.abs(f) ** 2))
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitudes must be normalized (Σ|f|² = {total!r})")
@@ -177,7 +159,7 @@ def entangled_pair(phi1, phi2, psi1, psi2) -> BipartiteState:
     """
     vectors = []
     for name, v in (("phi1", phi1), ("phi2", phi2), ("psi1", psi1), ("psi2", psi2)):
-        v = _vector(name, v)
+        v = _numbers(name, v, (None,), complex)
         if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise ValueError(f"{name} must be normalized")
         vectors.append(v)
@@ -228,11 +210,7 @@ def conditional_state(state: BipartiteState, outcome):
     partner: for φ₁⊗ψ₁ + φ₂⊗ψ₂ with orthogonal φ's, outcome φ₁ leaves B
     exactly in ψ₁.
     """
-    outcome = np.asarray(outcome, dtype=complex)
-    d_a = state.dims[0]
-    if outcome.shape != (d_a,):
-        raise ValueError(f"outcome must be a vector of length {d_a}, the dimension of subsystem A, "
-                         f"got shape {outcome.shape}")
+    outcome = _numbers("outcome", outcome, state.dims[:1], complex)
     if not abs(np.linalg.norm(outcome) - 1.0) <= NORM_TOL:
         raise ValueError("outcome vector must be normalized")
     chi = outcome.conj() @ state.amplitudes
@@ -244,7 +222,7 @@ def conditional_state(state: BipartiteState, outcome):
 
 def premeasure(model: MeasurementModel) -> BipartiteState:
     """Entangle system and apparatus: Σ_λ f(λ) φ_λ ⊗ pointer_λ."""
-    return BipartiteState(np.diag(np.asarray(model.amplitudes, dtype=complex)))
+    return BipartiteState(np.diag(_numbers("amplitudes", model.amplitudes, (None,), complex)))
 
 
 def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
@@ -259,9 +237,7 @@ def decohere(state: BipartiteState, pointer_basis=None) -> DensityMatrix:
     amp = state.amplitudes
     d_b = amp.shape[1]
     if pointer_basis is not None:
-        pointer_basis = np.asarray(pointer_basis, dtype=complex)
-        if pointer_basis.shape != (d_b, d_b):
-            raise ValueError("pointer basis must be a d_B x d_B unitary")
+        pointer_basis = _numbers("pointer_basis", pointer_basis, (d_b, d_b), complex)
         if not np.max(np.abs(pointer_basis.conj().T @ pointer_basis - np.eye(d_b))) <= 1e-10:
             raise ValueError("pointer basis must be unitary")
         amp = amp @ pointer_basis.conj()

@@ -503,8 +503,8 @@ def test_momentum_columns_are_exactly_constant_along_a_trajectory(times):
 ])
 def test_trajectory_memory_stays_within_the_tables_and_four_block_arrays(M, n, step, sigma0, seam, monkeypatch):
     # within the budget trajectory's docstring states: the fine rows (at most one block), three
-    # arrays of a block's rows x M complex values, the coarse rows and their phases (at most 1.5
-    # more) and four arrays of M.  The fine rows are built before the first block, so stopping at
+    # arrays of a block's rows x M complex values, the coarse rows (at most one more) and four
+    # arrays of M, the phase rates among them.  The fine rows are built before the first block, so stopping at
     # the seam still measures them.
     packet = gaussian_packet(LatticeSpec(M, 1.0, 1.0), 0.0, 0.0, sigma0)
     times = np.arange(n) * step
@@ -520,7 +520,8 @@ def test_trajectory_memory_stays_within_the_tables_and_four_block_arrays(M, n, s
     finally:
         tracemalloc.stop()
     assert taken == ["tables"]
-    rows = dynamics._block_rows(n, M, len(dynamics._fine_rows(times, packet.lattice)))
+    rows = dynamics._block_rows(n, M, len(dynamics._fine_rows(times, dynamics._phase_rates(packet.lattice),
+                                                              packet.lattice)))
     assert peak <= 16 * (2 * dynamics._BLOCK_ELEMENTS + (4 * rows + 4) * M)
 
 
@@ -556,15 +557,15 @@ def test_evolve_and_trajectory_check_the_mass_and_the_phase_in_one_step(mass, me
 
 
 @pytest.mark.parametrize("run, message", [
-    (lambda f: trajectory(f, [[0.0, 1.0]]), "times must be a 1-D sequence of real numbers"),
-    (lambda f: trajectory(f, [1j, 2j, 3j]), "times must be a 1-D sequence of real numbers"),
+    (lambda f: trajectory(f, [[0.0, 1.0]]), r"times must have shape \(n,\), got \(1, 2\)"),
+    (lambda f: trajectory(f, [1j, 2j, 3j]), "times must hold only real numbers"),
     # numpy's cast of a complex array drops the imaginary part with only a warning
-    (lambda f: trajectory(f, np.array([0.0, 1j, 2j])), "times must be a 1-D sequence of real numbers"),
-    (lambda f: trajectory(f, 2.0), "times must be a 1-D sequence of real numbers"),
-    (lambda f: trajectory(f, ["0", "one"]), "times must be a 1-D sequence of real numbers"),
-    (lambda f: ehrenfest_residuals(f, [0, 1j, 2j]), "times must be a 1-D sequence of real numbers"),
-    (lambda f: evolve(f, 1j), "t must be a real number"),
-    (lambda f: evolve(f, [1.0]), "t must be a real number"),
+    (lambda f: trajectory(f, np.array([0.0, 1j, 2j])), "times must hold only real numbers"),
+    (lambda f: trajectory(f, 2.0), r"times must have shape \(n,\), got \(\)"),
+    (lambda f: trajectory(f, ["0", "one"]), "times must hold only real numbers"),
+    (lambda f: ehrenfest_residuals(f, [0, 1j, 2j]), "times must hold only real numbers"),
+    (lambda f: evolve(f, 1j), "t must hold only real numbers"),
+    (lambda f: evolve(f, [1.0]), r"t must have shape \(\), got \(1,\)"),
 ], ids=["nested", "complex", "complex-array", "scalar", "text", "ehrenfest", "evolve", "evolve-list"])
 def test_times_that_are_not_real_numbers_raise_naming_them(run, message):
     # numpy's broadcast message and float()'s TypeError once leaked here
@@ -573,8 +574,8 @@ def test_times_that_are_not_real_numbers_raise_naming_them(run, message):
 
 
 @pytest.mark.parametrize("run, message", [
-    (lambda f: trajectory(f, [0.0, None, 2.0]), "times must be a 1-D sequence of real numbers"),
-    (lambda f: evolve(f, None), "t must be a real number"),
+    (lambda f: trajectory(f, [0.0, None, 2.0]), "times must hold only real numbers"),
+    (lambda f: evolve(f, None), "t must hold only real numbers"),
 ], ids=["trajectory", "evolve"])
 def test_a_time_of_none_raises_naming_the_times(run, message):
     # numpy's cast once made None a nan, reported as a phase that is not finite

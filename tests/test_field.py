@@ -171,8 +171,8 @@ def test_prepare_one_particle_rejects_a_mode_space_without_one_mode_per_site(spa
 
 @pytest.mark.parametrize("amplitude", [WaveAmplitude, MomentumAmplitude])
 @pytest.mark.parametrize("values, message", [
-    (np.ones(7), "values must have one entry per "),
-    (np.ones((8, 1)), "values must have one entry per "),
+    (np.ones(7), "values must have shape (8,), got (7,)"),
+    (np.ones((8, 1)), "values must have shape (8,), got (8, 1)"),
     (np.full(8, np.nan), "values must be finite"),
     ([1.0] * 7 + [np.inf], "values must be finite"),
     ([1.0] * 7 + [complex(0.0, -np.inf)], "values must be finite"),
@@ -396,7 +396,7 @@ def test_coherent_state_rejects_fermi():
 
 
 def test_coherent_state_rejects_a_wrong_shape():
-    with pytest.raises(ValueError, match="^need one amplitude per mode$"):
+    with pytest.raises(ValueError, match=r"^mode_amplitudes must have shape \(2,\), got \(1,\)$"):
         coherent_state([0.5], ModeSpace(2, Statistics.BOSE, nmax=12))
 
 
@@ -767,7 +767,7 @@ def test_commutator_sweep_holds_at_most_80_bytes_per_pair():
 ], ids=["3-D", "triple", "flat-array", "empty-triples"])
 def test_commutator_sweep_names_pairs_of_the_wrong_shape(pairs, shape):
     # a 3-D input was once read as one pair, and the others leaked numpy's reshape message
-    message = f"pairs must be (dt, dx) pairs of real numbers, as an (n, 2) array, got shape {shape}"
+    message = f"pairs must have shape (n, 2), got {shape}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         commutator_sweep(REL512, pairs)
 
@@ -778,12 +778,12 @@ def test_commutator_sweep_names_pairs_of_the_wrong_shape(pairs, shape):
 def test_commutator_sweep_names_pairs_that_are_not_real_numbers(pairs):
     # numpy's inhomogeneous-shape, float() and int-to-float messages once leaked here, a complex
     # array lost its imaginary parts with a warning, and None became nan
-    with pytest.raises(ValueError, match=r"^pairs must be \(dt, dx\) pairs of real numbers$"):
+    with pytest.raises(ValueError, match="^pairs must hold only real numbers$"):
         commutator_sweep(REL512, pairs)
 
 
 def test_commutator_sweep_takes_values_that_are_real_numbers_as_their_floats():
-    values = [(0, Fraction(3)), ("0.5", np.float32(2.5)), (True, Decimal("1.5"))]
+    values = [(0, Fraction(3)), (Fraction(1, 2), np.float32(2.5)), (np.int64(1), np.float16(1.5))]
     want = commutator_sweep(REL512, [(0.0, 3.0), (0.5, 2.5), (1.0, 1.5)])
     for got, w in zip(commutator_sweep(REL512, values), want):
         assert bits(got) == bits(w)
@@ -795,5 +795,6 @@ def test_commutator_sweep_takes_values_that_are_real_numbers_as_their_floats():
 ])
 def test_pauli_jordan_names_a_dt_or_dx_that_is_not_a_real_number(dt, dx, name, value):
     # None once became nan and was reported as a phase that is not finite at dts nan
-    with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be a real number, got {value!r}") + "$"):
+    message = f"{name} must have shape (), got (2,)" if isinstance(value, list) else f"{name} must hold only real numbers"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         pauli_jordan(REL512, dt, dx)

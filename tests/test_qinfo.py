@@ -310,13 +310,13 @@ def test_density_matrix_validation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: BipartiteState([1.0, 0.0]), "amplitudes must be a 2-D matrix"),
+    (lambda: BipartiteState([1.0, 0.0]), "amplitudes must have shape (n, m), got (2,)"),
     (lambda: DensityMatrix(np.ones((1, 2))), "rho must be square"),
-    (lambda: DensityMatrix(np.ones(1)), "rho must be square"),
+    (lambda: DensityMatrix(np.ones(1)), "rho must have shape (n, m), got (1,)"),
     (lambda: DensityMatrix(np.diag([1.5, -0.5])), "rho must be positive semidefinite"),
     (lambda: MeasurementModel((0, 1, 2), (0.6, 0.8), 1.0), "eigenvalues and amplitudes must have equal length"),
     (lambda: reduced_density(BELL, "C"), "subsystem must be 'A' or 'B'"),
-    (lambda: decohere(BELL, np.eye(3)), "pointer basis must be a d_B x d_B unitary"),
+    (lambda: decohere(BELL, np.eye(3)), "pointer_basis must have shape (2, 2), got (3, 3)"),
 ], ids=["bipartite-1d", "rho-not-square", "rho-1d", "rho-not-psd", "model-lengths", "subsystem", "pointer-shape"])
 def test_shape_and_spectrum_checks_raise_naming_what_failed(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
@@ -442,9 +442,9 @@ def test_nan_fails_every_tolerance_and_sign_check(call, message):
     (lambda: entangled_pair([1, 0], [1, 0, 0], [1, 0], [1, 0]), "phi2 must have length 2, as phi1 does, got 3"),
     (lambda: entangled_pair(E0, E1, [1, 0, 0], E1), "psi2 must have length 3, as psi1 does, got 2"),
     (lambda: conditional_state(BELL, [1, 0, 0]),
-     "outcome must be a vector of length 2, the dimension of subsystem A, got shape (3,)"),
+     "outcome must have shape (2,), got (3,)"),
     (lambda: conditional_state(BELL, [[1, 0]]),
-     "outcome must be a vector of length 2, the dimension of subsystem A, got shape (1, 2)"),
+     "outcome must have shape (2,), got (1, 2)"),
 ], ids=["entangled-phi", "entangled-psi", "conditional-length", "conditional-row"])
 def test_vectors_of_the_wrong_length_are_named_with_the_length_they_need(call, message):
     # numpy's broadcast and matmul messages once leaked here
@@ -503,9 +503,9 @@ def test_sample_outcomes_keeps_the_counts_of_integer_seeds():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: entangled_pair([[1, 0], [0, 0]], [1, 0, 0, 0], E0, E1), "phi1 must be a 1-D vector, got shape (2, 2)"),
-    (lambda: entangled_pair(E0, E1, E0, [[0, 1]]), "psi2 must be a 1-D vector, got shape (1, 2)"),
-    (lambda: born_distribution([[0.6, 0.8]]), "amplitudes must be a 1-D vector, got shape (1, 2)"),
+    (lambda: entangled_pair([[1, 0], [0, 0]], [1, 0, 0, 0], E0, E1), "phi1 must have shape (n,), got (2, 2)"),
+    (lambda: entangled_pair(E0, E1, E0, [[0, 1]]), "psi2 must have shape (n,), got (1, 2)"),
+    (lambda: born_distribution([[0.6, 0.8]]), "amplitudes must have shape (n,), got (1, 2)"),
     (lambda: pointer_outcome_counts(np.array([1, 2, 3, 4]), (2,)), "dims must be a pair (d_a, d_b), got (2,)"),
     (lambda: pointer_outcome_counts(np.array([1, 2, 3, 4]), 4), "dims must be a pair (d_a, d_b), got 4"),
 ], ids=["entangled-matrix", "entangled-row", "born-row", "dims-one", "dims-int"])
@@ -521,11 +521,11 @@ def test_arguments_of_the_wrong_shape_are_named_with_the_shape_they_need(call, m
     (lambda: pointer_outcome_counts(np.arange(4), (2.0, 2.0)), "dims must be positive integers, got (2.0, 2.0)"),
     (lambda: pointer_outcome_counts(np.arange(4), ("a", "b")), "dims must be positive integers, got ('a', 'b')"),
     (lambda: pointer_outcome_counts(np.arange(4), (-2, -2)), "dims must be positive integers, got (-2, -2)"),
-    (lambda: born_distribution(["a", "b"]), "amplitudes must be a vector of real or complex numbers"),
-    (lambda: born_distribution([None, 1.0]), "amplitudes must be a vector of real or complex numbers"),
-    (lambda: born_distribution([[1.0], [0.0, 1.0]]), "amplitudes must be a vector of real or complex numbers"),
-    (lambda: entangled_pair(["a", "b"], E1, E0, E1), "phi1 must be a vector of real or complex numbers"),
-    (lambda: entangled_pair(E0, E1, E0, [None, 1.0]), "psi2 must be a vector of real or complex numbers"),
+    (lambda: born_distribution(["a", "b"]), "amplitudes must hold only real or complex numbers"),
+    (lambda: born_distribution([None, 1.0]), "amplitudes must hold only real or complex numbers"),
+    (lambda: born_distribution([[1.0], [0.0, 1.0]]), "amplitudes must hold only real or complex numbers"),
+    (lambda: entangled_pair(["a", "b"], E1, E0, E1), "phi1 must hold only real or complex numbers"),
+    (lambda: entangled_pair(E0, E1, E0, [None, 1.0]), "psi2 must hold only real or complex numbers"),
 ], ids=["counts-list", "dims-float", "dims-text", "dims-negative", "born-text", "born-none", "born-ragged",
         "entangled-text", "entangled-none"])
 def test_counts_dims_and_vectors_that_are_not_numbers_raise_naming_them(call, message):
@@ -538,7 +538,7 @@ def test_counts_dims_and_vectors_that_are_not_numbers_raise_naming_them(call, me
 @pytest.mark.parametrize("call, message", [
     (lambda rho: sample_outcomes(rho, True, 0), "n must be an integer, got True"),
     (lambda rho: sample_outcomes(rho, 10, np.True_), "seed must be an integer, got np.True_"),
-    (lambda rho: MeasurementModel((0,), ("1",), 1.0), "amplitudes must be a vector of real or complex numbers"),
+    (lambda rho: MeasurementModel((0,), ("1",), 1.0), "amplitudes must hold only real or complex numbers"),
     (lambda rho: MeasurementModel((0,), (1.0,), "1"), "apparatus_energy must be a real number, got '1'"),
     (lambda rho: decoherence_time("1"), "apparatus_energy must be a real number, got '1'"),
     (lambda rho: decoherence_time(1j), "apparatus_energy must be a real number, got 1j"),
